@@ -14,9 +14,9 @@ path fast, fault-tolerant, and measurable:
   and a deterministic fault injector for the chaos suite;
 * :mod:`repro.runtime.profiling` — perf counters, timers, tokens/sec,
   padding-waste, cache-hit-rate, and failure/retry/degradation reporting;
-* :mod:`repro.runtime.parallel` — data-parallel sharded corpus execution
-  across worker processes (one-shot model broadcast, balanced contiguous
-  shards, merged stats/quarantine; bitwise-identical to sequential);
+* :mod:`repro.runtime.parallel` — data-parallel sharded corpus entry
+  points (one-shot model broadcast, balanced contiguous shards, merged
+  stats/quarantine; bitwise-identical to sequential);
 * :mod:`repro.runtime.checkpoint` — durable training: atomic, checksummed,
   bitwise-resumable checkpoints with manifests, a last-good pointer, and
   corruption rollback (typed ``ArtifactError`` on every load surface);
@@ -28,10 +28,10 @@ path fast, fault-tolerant, and measurable:
   inference: manifest-bound, checksummed JSONL WAL with fsync'd atomic
   segment commits and exactly-once resume (resumed output is
   bitwise-identical to an uninterrupted run);
-* :mod:`repro.runtime.supervisor` — lease-based worker supervision over
-  journaled runs: hung-worker reaping with re-grant, a global run
-  deadline, and SIGINT/SIGTERM graceful drain; plus the durable run
-  drivers (``run_durable_rows``, ``run_durable_reports``);
+* :mod:`repro.runtime.supervisor` — the one corpus runner, journaled or
+  not, with lease-based worker supervision for journaled runs (hung-worker
+  reaping with re-grant, a run deadline, SIGINT/SIGTERM graceful drain)
+  and the durable run drivers (``run_durable_rows``, ``run_durable_reports``);
 * :func:`repro.nn.module.inference_mode` / :func:`repro.nn.module.numeric_guard`
   (re-exported here) — backward-cache-free prediction and opt-in NaN/inf
   guards.
@@ -75,13 +75,7 @@ from repro.runtime.journal import (
 from repro.runtime.parallel import (
     PipelineBroadcast,
     Shard,
-    ShardResult,
-    ShardTask,
-    WorkerPool,
-    broadcast_classifier,
-    broadcast_extractor,
     broadcast_pipeline,
-    classify_batch_parallel,
     estimate_report_cost,
     estimate_text_cost,
     extract_batch_parallel,
@@ -90,7 +84,6 @@ from repro.runtime.parallel import (
     process_reports_parallel,
     resolve_workers,
     restore_pipeline,
-    run_shard,
     shard_seed,
 )
 from repro.runtime.profiling import PerfCounters, RunStats
@@ -156,17 +149,11 @@ __all__ = [
     "SegmentOutcome",
     "SegmentWork",
     "Shard",
-    "ShardResult",
-    "ShardTask",
     "StageTimeout",
     "SupervisorConfig",
     "TaskRegistryError",
     "TrainState",
-    "WorkerPool",
-    "broadcast_classifier",
-    "broadcast_extractor",
     "broadcast_pipeline",
-    "classify_batch_parallel",
     "classify_error",
     "config_fingerprint",
     "error_from_context",
@@ -189,7 +176,6 @@ __all__ = [
     "rows_digest",
     "run_durable_reports",
     "run_durable_rows",
-    "run_shard",
     "run_stage",
     "sanitize_report",
     "shard_seed",

@@ -1,4 +1,4 @@
-"""Crash-safe run journal for corpus extraction (DESIGN §6i).
+"""Crash-safe run journal for corpus extraction (DESIGN §6c).
 
 Training became durable in PR 5 (:mod:`repro.runtime.checkpoint`); this
 module gives *inference* runs the same guarantee. A :class:`RunJournal`

@@ -1,15 +1,15 @@
-"""Data-parallel sharded corpus runtime (multiprocessing).
+"""Data-parallel sharded corpus runtime: planning, broadcast, entry points.
 
-The batch runtime (PR 1) made single-process corpus inference fast; this
-module makes it use every core. A corpus of reports is split into
-contiguous *shards* balanced by estimated token count (the same
-whitespace-word length proxy the scheduler and serving engine budget by),
-the fitted pipeline is broadcast to worker processes exactly **once** at
-spawn — model weights travel as compact ``.npz`` payloads via
-:mod:`repro.nn.serialize`, never re-pickled per document — and each worker
-runs the existing resilient pipeline over its shard (``on_error``
-semantics, per-shard :class:`~repro.runtime.resilience.FaultInjector` with
-deterministic per-shard seeds, quarantine shipped back and merged).
+A corpus is split into contiguous *shards* balanced by estimated token
+count (the same whitespace-word length proxy the scheduler and serving
+engine budget by), and the fitted host is broadcast to worker processes
+exactly **once** at spawn — model weights travel as compact ``.npz``
+payloads via :mod:`repro.nn.serialize`, never re-pickled per document.
+Execution itself lives in :mod:`repro.runtime.supervisor`: a non-journaled
+``workers=N`` run is a journaled run with an in-memory sink and no leases,
+so both go through the same segment executor (per-shard ``on_error``
+semantics, deterministic per-shard fault-injector seeds, quarantine
+shipped back and merged).
 
 **Correctness contract**: ``workers=N`` is bitwise-identical to
 ``workers=1``. Three properties underwrite this:
@@ -26,9 +26,8 @@ deterministic per-shard seeds, quarantine shipped back and merged).
   stats, and the single-worker path restores from the same broadcast, so
   ``workers=1`` and ``workers=N`` stay bitwise-identical with caching on.
 
-Per-shard ``RunStats``/``PerfCounters`` merge back through the PR 3
-merge-safe APIs (:meth:`RunStats.merge`), so fleet-wide counters equal the
-sum of per-shard counters exactly.
+Per-shard ``RunStats`` merge back through :meth:`RunStats.merge`, so
+fleet-wide counters equal the sum of per-shard counters exactly.
 
 Entry points: :func:`process_reports_parallel` (the GoalSpotter corpus
 path — also reachable as ``GoalSpotter(..., workers=N)`` or
@@ -42,15 +41,12 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
-import time
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.nn.module import Module
 from repro.nn.serialize import state_from_bytes, state_to_bytes
-from repro.runtime.profiling import PerfCounters, RunStats
 from repro.runtime.resilience import (
-    FaultInjector,
     FaultSpec,
     QuarantineEntry,
     QuarantineQueue,
@@ -64,13 +60,7 @@ if TYPE_CHECKING:  # avoid an import cycle through repro.runtime.__init__
 __all__ = [
     "PipelineBroadcast",
     "Shard",
-    "ShardResult",
-    "ShardTask",
-    "WorkerPool",
-    "broadcast_classifier",
-    "broadcast_extractor",
     "broadcast_pipeline",
-    "classify_batch_parallel",
     "estimate_report_cost",
     "estimate_text_cost",
     "extract_batch_parallel",
@@ -79,7 +69,6 @@ __all__ = [
     "process_reports_parallel",
     "resolve_workers",
     "restore_pipeline",
-    "run_shard",
     "shard_seed",
 ]
 
@@ -282,24 +271,6 @@ def broadcast_pipeline(pipeline: "GoalSpotter") -> PipelineBroadcast:
         ) = saved
 
 
-def broadcast_extractor(
-    extractor: "WeakSupervisionExtractor",
-) -> PipelineBroadcast:
-    """Package a fitted extractor for the bulk-extraction worker pool."""
-    return _broadcast(extractor, ("",))
-
-
-def broadcast_classifier(classifier: Any) -> PipelineBroadcast:
-    """Package a fitted text classifier for the worker pool.
-
-    Works for any host exposing ``.model`` (a :class:`Module`) and
-    ``build_model(encoder_config)`` — the same contract the extractor
-    broadcast relies on; :class:`repro.models.text_classifier.
-    TextLabelClassifier` satisfies it.
-    """
-    return _broadcast(classifier, ("",))
-
-
 def restore_pipeline(broadcast: PipelineBroadcast) -> Any:
     """Rebuild the broadcast host: unpickle the skeleton, reload weights.
 
@@ -316,224 +287,38 @@ def restore_pipeline(broadcast: PipelineBroadcast) -> Any:
     return host
 
 
-# -- shard execution ----------------------------------------------------------
+# -- worker pools -------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class ShardTask:
-    """One unit of worker work: a contiguous slice of the corpus."""
-
-    index: int
-    start: int
-    reports: tuple  # tuple[SustainabilityReport, ...]
-    mode: str  # on_error policy for this run
-    specs: tuple[FaultSpec, ...]  # fault specs active in this shard
-    seed: int  # per-shard injector seed
-
-
-@dataclasses.dataclass
-class ShardResult:
-    """What one shard sends back to the coordinator."""
-
-    index: int
-    start: int
-    records: list  # list[ExtractedRecord], shard-local input order
-    quarantine: list  # list[QuarantineEntry], shard-local order
-    stats: dict | None  # the shard pipeline's last_run_stats
-    extractor_stats: RunStats | None
-    detector_stats: RunStats | None
-    error: Exception | None = None  # first failure under mode="raise"
-
-
-_WORKER_PIPELINE: Any = None
-_WORKER_EXTRACTOR: Any = None
-
-
-def _init_worker(payload: bytes) -> None:
-    """Pool initializer: restore the broadcast pipeline exactly once."""
-    global _WORKER_PIPELINE
-    _WORKER_PIPELINE = restore_pipeline(pickle.loads(payload))
-
-
-def run_shard(task: ShardTask, pipeline: Any = None) -> ShardResult:
-    """Run one shard through a pipeline (the worker's broadcast copy).
-
-    The pipeline's run-scoped state is reset first — fresh quarantine,
-    fresh per-shard fault injector (``task.specs`` under ``task.seed``),
-    zeroed stage stats — so a shard's outcome depends only on its inputs
-    and the broadcast, never on pool scheduling.
-    """
-    from repro.runtime.errors import ReproError
-
-    if pipeline is None:
-        pipeline = _WORKER_PIPELINE
-    if pipeline is None:
-        raise RuntimeError("shard worker was not initialized")
-    pipeline.quarantine = QuarantineQueue()
-    pipeline.fault_injector = (
-        FaultInjector(task.specs, seed=task.seed) if task.specs else None
-    )
-    for owner in (pipeline.detector, pipeline.extractor):
-        if hasattr(owner, "total_run_stats"):
-            owner.total_run_stats = RunStats()
-            owner.last_run_stats = None
-
-    error: Exception | None = None
-    records: list = []
+def _open_pool(processes: int, initializer: Any = None, initargs: tuple = ()):
+    """The runtime's one process-pool constructor (fork where available)."""
     try:
-        records = pipeline.process_reports(
-            list(task.reports), on_error=task.mode, workers=1
-        )
-    except ReproError as raised:
-        error = raised  # re-raised by the coordinator in shard order
-    return ShardResult(
-        index=task.index,
-        start=task.start,
-        records=records,
-        quarantine=list(pipeline.quarantine),
-        stats=pipeline.last_run_stats,
-        extractor_stats=getattr(
-            pipeline.extractor, "total_run_stats", None
-        ),
-        detector_stats=getattr(pipeline.detector, "total_run_stats", None),
-        error=error,
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # no fork on this platform
+        context = multiprocessing.get_context("spawn")
+    return context.Pool(
+        processes=processes, initializer=initializer, initargs=initargs
     )
-
-
-def _default_start_method() -> str:
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
-def _map_tasks(
-    tasks: Sequence[ShardTask],
-    broadcast: PipelineBroadcast,
-    workers: int,
-    start_method: str | None,
-) -> list[ShardResult]:
-    """Run shard tasks: in-process for one worker, a pool otherwise.
-
-    The single-worker path still executes on a pipeline *restored from
-    the broadcast* (never the caller's), so ``workers=1`` and
-    ``workers=N`` traverse byte-for-byte the same code and state.
-    """
-    if workers <= 1 or len(tasks) <= 1:
-        local = restore_pipeline(broadcast)
-        return [run_shard(task, pipeline=local) for task in tasks]
-    payload = pickle.dumps(broadcast, protocol=pickle.HIGHEST_PROTOCOL)
-    context = multiprocessing.get_context(
-        start_method or _default_start_method()
-    )
-    with context.Pool(
-        processes=min(workers, len(tasks)),
-        initializer=_init_worker,
-        initargs=(payload,),
-    ) as pool:
-        return pool.map(run_shard, tasks, chunksize=1)
 
 
 def map_shards(
-    tasks: Sequence[Any],
-    func: Any,
-    *,
-    workers: int | str | None = None,
-    start_method: str | None = None,
+    tasks: Sequence[Any], func: Any, *, workers: int | str | None = None
 ) -> list[Any]:
-    """Map a picklable top-level function over shard task payloads.
+    """Map a picklable module-level function over shard task payloads.
 
-    The generic sibling of :func:`_map_tasks` for shard work that does
-    not need a model broadcast (e.g. knowledge-graph ingestion): results
-    come back in input order, ``workers<=1`` runs in-process through the
-    exact same call path, and ``func`` must be a module-level function so
-    it pickles under the ``spawn`` start method.
+    For shard work that needs no model broadcast (e.g. knowledge-graph
+    ingestion): results come back in input order, and one worker (or one
+    task) runs in-process through the same ``func``.
     """
     tasks = list(tasks)
-    count = resolve_workers(workers)
-    if not tasks:
-        return []
-    if count <= 1 or len(tasks) <= 1:
+    count = min(resolve_workers(workers), len(tasks))
+    if count <= 1:
         return [func(task) for task in tasks]
-    context = multiprocessing.get_context(
-        start_method or _default_start_method()
-    )
-    with context.Pool(processes=min(count, len(tasks))) as pool:
+    with _open_pool(count) as pool:
         return pool.map(func, tasks, chunksize=1)
 
 
-# -- supervised async execution -----------------------------------------------
-
-
-class WorkerPool:
-    """Broadcast-initialized process pool with an async submit surface.
-
-    The synchronous entry points in this module (``pool.map``) block
-    until every shard returns, which leaves no room for supervision: a
-    hung worker stalls the whole corpus. ``WorkerPool`` keeps the same
-    one-shot broadcast + initializer contract but hands out
-    ``AsyncResult`` handles, so the :class:`~repro.runtime.supervisor.
-    RunSupervisor` can claim work under leases, poll for completion,
-    detect hung workers, and re-grant their segments — the PR 7
-    at-least-once pattern applied to batch runs.
-
-    Args:
-        broadcast: a :class:`PipelineBroadcast` shipped once at spawn.
-        workers: pool size (submission beyond it queues inside the pool).
-        runner: module-level function applied to each submitted task.
-        initializer: module-level pool initializer taking the pickled
-            broadcast payload (e.g. restores it into a worker global).
-        start_method: multiprocessing start method (default ``fork``
-            where available, else ``spawn``).
-    """
-
-    def __init__(
-        self,
-        broadcast: PipelineBroadcast,
-        *,
-        workers: int,
-        runner: Any,
-        initializer: Any,
-        start_method: str | None = None,
-    ) -> None:
-        self.workers = max(1, int(workers))
-        self._runner = runner
-        payload = pickle.dumps(broadcast, protocol=pickle.HIGHEST_PROTOCOL)
-        context = multiprocessing.get_context(
-            start_method or _default_start_method()
-        )
-        self._pool = context.Pool(
-            processes=self.workers,
-            initializer=initializer,
-            initargs=(payload,),
-        )
-        self._closed = False
-
-    def submit(self, task: Any):
-        """Dispatch one task; returns its ``AsyncResult`` handle."""
-        return self._pool.apply_async(self._runner, (task,))
-
-    def close(self, *, force: bool = False) -> None:
-        """Shut the pool down; ``force`` kills workers instead of waiting.
-
-        ``force=True`` is the hung-worker/deadline path — a graceful
-        close would join forever on a wedged process.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if force:
-            self._pool.terminate()
-        else:
-            self._pool.close()
-        self._pool.join()
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close(force=exc[0] is not None)
-
-
-# -- the corpus entry point ---------------------------------------------------
+# -- entry points -------------------------------------------------------------
 
 
 def process_reports_parallel(
@@ -544,7 +329,6 @@ def process_reports_parallel(
     on_error: str | None = None,
     num_shards: int | None = None,
     shard_faults: Mapping[int, Sequence[FaultSpec]] | None = None,
-    start_method: str | None = None,
 ) -> list["ExtractedRecord"]:
     """Run ``pipeline.process_reports`` data-parallel over shards.
 
@@ -565,170 +349,34 @@ def process_reports_parallel(
             index — chaos testing of exactly one shard. Specs on
             ``pipeline.fault_injector`` apply to *every* shard, each
             under its own :func:`shard_seed`.
-        start_method: multiprocessing start method (default ``fork``
-            where available, else ``spawn``).
     """
+    # Deferred imports: both modules import this one.
+    from repro.goalspotter.pipeline import record_from_payload
+    from repro.runtime.supervisor import KIND_PIPELINE, _run_corpus
+
     mode = on_error if on_error is not None else pipeline.on_error
     reports = list(reports)
-    workers = resolve_workers(workers)
     if not reports:
         return pipeline.process_reports([], on_error=mode, workers=1)
-
-    wall_start = time.perf_counter()
-    with_timer = PerfCounters()
-    with with_timer.timer("broadcast_seconds"):
-        broadcast = broadcast_pipeline(pipeline)
-
-    costs = [estimate_report_cost(report) for report in reports]
-    shards = plan_shards(costs, min(num_shards or workers, len(reports)))
-    extra_faults = dict(shard_faults or {})
-    base_injector = pipeline.fault_injector
-    base_specs = (
-        tuple(base_injector.specs) if base_injector is not None else ()
-    )
-    base_seed = base_injector.seed if base_injector is not None else 0
-    tasks = [
-        ShardTask(
-            index=shard.index,
-            start=shard.start,
-            reports=tuple(reports[shard.start : shard.stop]),
-            mode=mode,
-            specs=base_specs + tuple(extra_faults.get(shard.index, ())),
-            seed=shard_seed(base_seed, shard.index),
-        )
-        for shard in shards
-    ]
-
-    results = _map_tasks(tasks, broadcast, workers, start_method)
-    results.sort(key=lambda result: result.start)
-
-    for result in results:
-        if result.error is not None:
-            raise result.error  # mode="raise": first failure, input order
-
-    records: list = []
-    quarantine: list[QuarantineEntry] = []
-    for result in results:
-        records.extend(result.records)
-        quarantine.extend(result.quarantine)
-    pipeline.quarantine.extend(quarantine)
-
-    wall = time.perf_counter() - wall_start
-    pipeline.last_run_stats = _merge_shard_stats(
+    outcomes = _run_corpus(
         pipeline,
-        results,
+        KIND_PIPELINE,
+        reports,
+        workers=resolve_workers(workers),
+        num_shards=num_shards,
         mode=mode,
-        workers=workers,
-        wall=wall,
-        broadcast_seconds=with_timer.get("broadcast_seconds"),
-        broadcast_bytes=broadcast.num_bytes,
-        num_records=len(records),
+        shard_faults=shard_faults,
     )
-    return records
-
-
-#: last_run_stats keys summed across shards by the merge.
-_SUMMED_STAT_KEYS = (
-    "detect_seconds",
-    "extract_seconds",
-    "blocks",
-    "detected_blocks",
-    "extraction_units",
-    "records",
-    "retries",
-    "failures",
-    "degraded_records",
-    "failed_records",
-    "fallback_documents",
-    "quarantined_documents",
-    "sanitized_blocks",
-)
-
-
-def _merge_shard_stats(
-    pipeline: Any,
-    results: Sequence[ShardResult],
-    *,
-    mode: str,
-    workers: int,
-    wall: float,
-    broadcast_seconds: float,
-    broadcast_bytes: int,
-    num_records: int,
-) -> dict:
-    """One run-stats dict whose counters sum the per-shard counters."""
-    merged: dict = {name: 0 for name in _SUMMED_STAT_KEYS}
-    shard_wall = 0.0
-    fast_path = True
-    for result in results:
-        stats = result.stats or {}
-        for name in _SUMMED_STAT_KEYS:
-            merged[name] += stats.get(name, 0)
-        shard_wall += stats.get("wall_seconds", 0.0)
-        fast_path = fast_path and bool(stats.get("fast_path", True))
-
-    extractor_stats = RunStats()
-    detector_stats = RunStats()
-    for result in results:
-        if result.extractor_stats is not None:
-            extractor_stats = extractor_stats.merge(result.extractor_stats)
-        if result.detector_stats is not None:
-            detector_stats = detector_stats.merge(result.detector_stats)
-    for owner, stats in (
-        (pipeline.extractor, extractor_stats),
-        (pipeline.detector, detector_stats),
-    ):
-        if hasattr(owner, "total_run_stats"):
-            owner.total_run_stats = owner.total_run_stats.merge(stats)
-            owner.last_run_stats = stats
-
-    blocks = int(merged["blocks"])
-    merged.update(
-        {
-            "wall_seconds": wall,
-            "blocks_per_second": blocks / wall if wall > 0 else 0.0,
-            "records": num_records,
-            "on_error": mode,
-            "fast_path": fast_path,
-            "extractor": extractor_stats.as_dict(),
-            # Parallel-runtime observability:
-            "workers": workers,
-            "num_shards": len(results),
-            "shard_wall_seconds": shard_wall,
-            "broadcast_seconds": broadcast_seconds,
-            "broadcast_bytes": broadcast_bytes,
-            "shards": [result.stats for result in results],
-        }
+    pipeline.quarantine.extend(
+        QuarantineEntry.from_dict(payload)
+        for outcome in outcomes
+        for payload in outcome.quarantine
     )
-    return merged
-
-
-# -- the bulk extractor entry point -------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class _ExtractTask:
-    index: int
-    start: int
-    texts: tuple
-
-
-def _init_extract_worker(payload: bytes) -> None:
-    global _WORKER_EXTRACTOR
-    _WORKER_EXTRACTOR = restore_pipeline(pickle.loads(payload))
-
-
-def _run_extract_shard(task: _ExtractTask):
-    extractor = _WORKER_EXTRACTOR
-    if extractor is None:
-        raise RuntimeError("extract worker was not initialized")
-    details = extractor.extract_batch(list(task.texts))
-    return (
-        task.index,
-        task.start,
-        details,
-        getattr(extractor, "last_run_stats", None),
-    )
+    return [
+        record_from_payload(payload)
+        for outcome in outcomes
+        for payload in outcome.rows
+    ]
 
 
 def extract_batch_parallel(
@@ -737,14 +385,14 @@ def extract_batch_parallel(
     *,
     workers: int | str | None = None,
     num_shards: int | None = None,
-    start_method: str | None = None,
 ) -> list[dict[str, str]]:
     """Shard ``extractor.extract_batch`` across worker processes.
 
     Bitwise-identical to the sequential call and restored to input
     order (contiguous shards, packing-invariant logits). The merged
-    per-shard :class:`RunStats` lands in ``extractor.last_run_stats``
-    and folds into ``extractor.total_run_stats``.
+    per-shard :class:`~repro.runtime.profiling.RunStats` lands in
+    ``extractor.last_run_stats`` and folds into
+    ``extractor.total_run_stats``.
 
     With ``result_cache_capacity`` set on the extractor config, each
     shard worker runs its own *fresh* cache (the broadcast pickles the
@@ -753,152 +401,21 @@ def extract_batch_parallel(
     than a wide pool), and the per-shard ``result_cache_*`` stats merge
     back additively. Values never depend on cache state, so caching
     keeps ``workers=N`` bitwise-identical to ``workers=1``.
+
+    A failing shard raises its own error, the lowest-indexed one first.
+    It is typed: a foreign exception arrives as the
+    :class:`~repro.runtime.errors.ModelError` that
+    :func:`~repro.runtime.resilience.run_stage` classifies it into, with
+    the original as ``__cause__`` when the shard ran in-process (a
+    worker process's error crosses back without its cause).
     """
-    texts = list(texts)
-    workers = resolve_workers(workers)
-    if not texts:
-        return []
-    broadcast = broadcast_extractor(extractor)
-    costs = [estimate_text_cost(text) for text in texts]
-    shards = plan_shards(costs, min(num_shards or workers, len(texts)))
-    tasks = [
-        _ExtractTask(
-            index=shard.index,
-            start=shard.start,
-            texts=tuple(texts[shard.start : shard.stop]),
-        )
-        for shard in shards
-    ]
-    if workers <= 1 or len(tasks) <= 1:
-        local = restore_pipeline(broadcast)
-        outcomes = [_run_extract_shard_on(task, local) for task in tasks]
-    else:
-        payload = pickle.dumps(broadcast, protocol=pickle.HIGHEST_PROTOCOL)
-        context = multiprocessing.get_context(
-            start_method or _default_start_method()
-        )
-        with context.Pool(
-            processes=min(workers, len(tasks)),
-            initializer=_init_extract_worker,
-            initargs=(payload,),
-        ) as pool:
-            outcomes = pool.map(_run_extract_shard, tasks, chunksize=1)
-    outcomes.sort(key=lambda outcome: outcome[1])
-    details: list[dict[str, str]] = []
-    merged = RunStats()
-    for __, __, shard_details, shard_stats in outcomes:
-        details.extend(shard_details)
-        if shard_stats is not None:
-            merged = merged.merge(shard_stats)
-    if hasattr(extractor, "total_run_stats"):
-        with extractor._stats_lock:
-            extractor.last_run_stats = merged
-            extractor.total_run_stats = extractor.total_run_stats.merge(
-                merged
-            )
-    return details
+    from repro.runtime.supervisor import KIND_EXTRACTION, _run_corpus
 
-
-def _run_extract_shard_on(task: _ExtractTask, extractor: Any):
-    details = extractor.extract_batch(list(task.texts))
-    return (
-        task.index,
-        task.start,
-        details,
-        getattr(extractor, "last_run_stats", None),
+    outcomes = _run_corpus(
+        extractor,
+        KIND_EXTRACTION,
+        texts,
+        workers=resolve_workers(workers),
+        num_shards=num_shards,
     )
-
-
-# -- the bulk classifier entry point ------------------------------------------
-
-
-_WORKER_CLASSIFIER: Any = None
-
-
-def _init_classify_worker(payload: bytes) -> None:
-    global _WORKER_CLASSIFIER
-    _WORKER_CLASSIFIER = restore_pipeline(pickle.loads(payload))
-
-
-def _run_classify_shard(task: _ExtractTask):
-    classifier = _WORKER_CLASSIFIER
-    if classifier is None:
-        raise RuntimeError("classify worker was not initialized")
-    return _run_classify_shard_on(task, classifier)
-
-
-def _run_classify_shard_on(task: _ExtractTask, classifier: Any):
-    probabilities = classifier.predict_proba(list(task.texts))
-    return (
-        task.index,
-        task.start,
-        probabilities,
-        getattr(classifier, "last_run_stats", None),
-    )
-
-
-def classify_batch_parallel(
-    classifier: Any,
-    texts: Sequence[str],
-    *,
-    workers: int | str | None = None,
-    num_shards: int | None = None,
-    start_method: str | None = None,
-):
-    """Shard ``classifier.predict_proba`` across worker processes.
-
-    The classification sibling of :func:`extract_batch_parallel`: the
-    fitted classifier is broadcast once, contiguous token-balanced shards
-    are scored independently, and the probability rows are concatenated
-    back into exact input order. Packing-invariant logits make the result
-    bitwise-identical to the sequential call for any ``workers``/
-    ``num_shards`` split; the single-worker path also runs on a pipeline
-    restored from the broadcast so both paths share state handling.
-    Merged per-shard :class:`RunStats` land in
-    ``classifier.last_run_stats`` / ``total_run_stats``.
-    """
-    import numpy as np
-
-    texts = list(texts)
-    workers = resolve_workers(workers)
-    if not texts:
-        return classifier.predict_proba([])
-    broadcast = broadcast_classifier(classifier)
-    costs = [estimate_text_cost(text) for text in texts]
-    shards = plan_shards(costs, min(num_shards or workers, len(texts)))
-    tasks = [
-        _ExtractTask(
-            index=shard.index,
-            start=shard.start,
-            texts=tuple(texts[shard.start : shard.stop]),
-        )
-        for shard in shards
-    ]
-    if workers <= 1 or len(tasks) <= 1:
-        local = restore_pipeline(broadcast)
-        outcomes = [_run_classify_shard_on(task, local) for task in tasks]
-    else:
-        payload = pickle.dumps(broadcast, protocol=pickle.HIGHEST_PROTOCOL)
-        context = multiprocessing.get_context(
-            start_method or _default_start_method()
-        )
-        with context.Pool(
-            processes=min(workers, len(tasks)),
-            initializer=_init_classify_worker,
-            initargs=(payload,),
-        ) as pool:
-            outcomes = pool.map(_run_classify_shard, tasks, chunksize=1)
-    outcomes.sort(key=lambda outcome: outcome[1])
-    merged = RunStats()
-    rows = []
-    for __, __, shard_rows, shard_stats in outcomes:
-        rows.append(shard_rows)
-        if shard_stats is not None:
-            merged = merged.merge(shard_stats)
-    if hasattr(classifier, "total_run_stats"):
-        with classifier._stats_lock:
-            classifier.last_run_stats = merged
-            classifier.total_run_stats = classifier.total_run_stats.merge(
-                merged
-            )
-    return np.concatenate(rows, axis=0)
+    return [payload["row"] for outcome in outcomes for payload in outcome.rows]

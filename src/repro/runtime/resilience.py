@@ -265,7 +265,7 @@ class FaultInjector:
     def __getstate__(self) -> dict:
         # Only the configuration crosses a process boundary; the receiver
         # starts with fresh call counters and RNG streams (the parallel
-        # runtime reseeds per shard via :func:`shard_injector`).
+        # runtime reseeds per shard via :func:`shard_seed`).
         return {"specs": self.specs, "seed": self.seed}
 
     def __setstate__(self, state: dict) -> None:

@@ -1,11 +1,15 @@
-"""Lease-based worker supervision for durable corpus runs (DESIGN §6i).
+"""The corpus runner: segment execution, worker supervision, run drivers.
 
-:mod:`repro.runtime.journal` makes committed work crash-safe; this
-module makes the *execution* of the remaining work supervised. A
-:class:`RunSupervisor` claims pending journal segments under leases,
-dispatches them to a transport (an async broadcast worker pool or an
-in-process executor), and enforces the failure model batch runs never
-had:
+Every corpus run — journaled or not, sequential or pooled — executes
+through :func:`_run_segments`: the host is broadcast once, and each
+segment (:class:`SegmentWork`) runs through one executor on a copy
+restored from that broadcast, in-process or in a :class:`PoolTransport`
+worker. A non-journaled run is a journaled run with an in-memory sink
+and no leases (DESIGN §6c).
+
+:mod:`repro.runtime.journal` makes committed work crash-safe; for
+journaled pooled runs a :class:`RunSupervisor` claims pending segments
+under leases and enforces the failure model batch runs never had:
 
 * **hung-worker reaping** — a lease whose worker stops heartbeating (or
   never completes within ``lease_timeout``) is reaped and re-granted to
@@ -23,16 +27,18 @@ had:
   :class:`~repro.runtime.errors.RunInterrupted`; the CLI maps it to the
   documented partial-success exit code.
 
-The module also hosts the two durable run drivers built on journal +
-supervisor: :func:`run_durable_rows` (bulk text→row inference for any
+Run drivers: :func:`_run_corpus` (non-journaled, one shard per worker by
+default; behind :mod:`repro.runtime.parallel`'s entry points and
+``TaskModel.run_batch_parallel``), :func:`run_durable_rows` (journaled bulk text→row inference for any
 registered task, extraction or classification) and
-:func:`run_durable_reports` (the GoalSpotter corpus path, with
+:func:`run_durable_reports` (the journaled GoalSpotter corpus path, with
 quarantine entries persisted into the journal so poison documents are
 not retried on resume).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import pickle
@@ -40,7 +46,7 @@ import signal
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.runtime.checkpoint import config_fingerprint
 from repro.runtime.errors import (
@@ -51,9 +57,9 @@ from repro.runtime.errors import (
 )
 from repro.runtime.journal import RunJournal, input_digest
 from repro.runtime.parallel import (
-    WorkerPool,
-    broadcast_classifier,
-    broadcast_extractor,
+    _broadcast,
+    _component,
+    _open_pool,
     broadcast_pipeline,
     estimate_report_cost,
     estimate_text_cost,
@@ -88,7 +94,7 @@ __all__ = [
 #: Default documents/texts per journal segment (the commit granularity).
 DEFAULT_SEGMENT_ITEMS = 16
 
-#: Row kinds understood by the segment executor.
+#: Work kinds understood by the segment executor.
 KIND_EXTRACTION = "extraction"
 KIND_CLASSIFICATION = "classification"
 KIND_PIPELINE = "pipeline"
@@ -151,7 +157,7 @@ class GracefulShutdown:
 
 @dataclasses.dataclass(frozen=True)
 class SegmentWork:
-    """One journal segment's worth of work, picklable for the pool."""
+    """One segment's worth of work, picklable for the pool."""
 
     index: int
     start: int
@@ -166,12 +172,24 @@ class SegmentWork:
 
 @dataclasses.dataclass
 class SegmentOutcome:
-    """What a segment execution sends back to the supervisor."""
+    """What a segment execution sends back to the runner."""
 
     index: int
     rows: list
     quarantine: list  # list[dict] — QuarantineEntry.as_dict payloads
     error: dict | None = None  # ReproError.context() + {"retryable": bool}
+    #: The live error behind ``error``; runs without a supervisor re-raise it.
+    exception: ReproError | None = None
+    stats: dict | None = None  # the pipeline's last_run_stats (pipeline kind)
+    #: Per-component RunStats of this segment alone (see _stats_owners).
+    model_stats: dict = dataclasses.field(default_factory=dict)
+
+
+def _stats_owners(host: Any, kind: str) -> dict[str, Any]:
+    """The host components whose ``RunStats`` a segment reports."""
+    names = ("detector", "extractor") if kind == KIND_PIPELINE else ("",)
+    owners = {name: _component(host, name) for name in names}
+    return {n: o for n, o in owners.items() if hasattr(o, "total_run_stats")}
 
 
 def _host_rows(host: Any, kind: str, texts: list[str]) -> list[dict]:
@@ -221,102 +239,99 @@ def _rows_segment(host: Any, work: SegmentWork) -> list[dict]:
     return payloads
 
 
-def _pipeline_segment(host: Any, work: SegmentWork) -> tuple[list, list]:
-    """Run one report segment through a broadcast-restored GoalSpotter.
+def _execute_segment(
+    host: Any, work: SegmentWork, *, isolate: bool = True
+) -> SegmentOutcome:
+    """Run one segment on a broadcast-restored ``host``.
 
-    Run-scoped state is reset first (fresh quarantine, per-segment fault
-    injector under the segment seed) exactly like
-    :func:`repro.runtime.parallel.run_shard`, so a segment's outcome —
-    records *and* quarantine — depends only on its inputs and the
-    broadcast, never on which execution attempt produced it.
+    Run-scoped state is reset first — per-segment fault injector under
+    the segment seed, fresh quarantine, zeroed model stats — so a
+    segment's outcome depends only on its inputs and the broadcast,
+    never on pool scheduling or on which attempt produced it. Failures
+    come back as typed payloads plus the live error.
+
+    ``isolate=False`` runs on the caller's live host instead: its model
+    stats are left alone (its own calls keep them current) and no
+    per-segment stats are reported.
     """
-    from repro.goalspotter.pipeline import record_to_payload
-
-    host.quarantine = QuarantineQueue()
-    host.fault_injector = (
-        FaultInjector(work.specs, seed=work.seed) if work.specs else None
-    )
-    for owner in (host.detector, host.extractor):
-        if hasattr(owner, "total_run_stats"):
-            owner.total_run_stats = RunStats()
-            owner.last_run_stats = None
-    records = host.process_reports(
-        list(work.items), on_error=work.mode, workers=1
-    )
-    return (
-        [record_to_payload(record) for record in records],
-        host.quarantine.as_dicts(),
-    )
-
-
-def _execute_segment(host: Any, work: SegmentWork) -> SegmentOutcome:
-    """Run one segment on ``host``; failures come back as typed payloads."""
+    owners = _stats_owners(host, work.kind) if isolate else {}
+    for owner in owners.values():
+        owner.total_run_stats = RunStats()
+        owner.last_run_stats = None
+    if hasattr(host, "fault_injector"):
+        host.fault_injector = (
+            FaultInjector(work.specs, seed=work.seed) if work.specs else None
+        )
     try:
         if work.kind == KIND_PIPELINE:
-            rows, quarantine = _pipeline_segment(host, work)
+            from repro.goalspotter.pipeline import record_to_payload
+
+            host.quarantine = QuarantineQueue()
+            records = host.process_reports(
+                list(work.items), on_error=work.mode, workers=1
+            )
+            rows = [record_to_payload(record) for record in records]
+            quarantine = host.quarantine.as_dicts()
         else:
-            if hasattr(host, "fault_injector"):
-                host.fault_injector = (
-                    FaultInjector(work.specs, seed=work.seed)
-                    if work.specs
-                    else None
-                )
-            rows = _rows_segment(host, work)
-            quarantine = []
-        return SegmentOutcome(index=work.index, rows=rows, quarantine=quarantine)
+            rows, quarantine = _rows_segment(host, work), []
     except ReproError as error:
         payload = error.context()
         payload["retryable"] = error.retryable
         return SegmentOutcome(
-            index=work.index, rows=[], quarantine=[], error=payload
+            index=work.index,
+            rows=[],
+            quarantine=[],
+            error=payload,
+            exception=error,
         )
+    return SegmentOutcome(
+        index=work.index,
+        rows=rows,
+        quarantine=quarantine,
+        stats=host.last_run_stats if work.kind == KIND_PIPELINE else None,
+        model_stats={
+            name: owner.total_run_stats for name, owner in owners.items()
+        },
+    )
 
 
-# -- transports ---------------------------------------------------------------
+# -- the pool transport -------------------------------------------------------
 
-_DURABLE_HOST: Any = None
+_WORKER_HOST: Any = None
 
 
-def _init_durable_worker(payload: bytes) -> None:
+def _init_worker(payload: bytes) -> None:
     """Pool initializer: restore the broadcast host exactly once."""
-    global _DURABLE_HOST
-    _DURABLE_HOST = restore_pipeline(pickle.loads(payload))
+    global _WORKER_HOST
+    _WORKER_HOST = restore_pipeline(pickle.loads(payload))
 
 
 def _run_segment_worker(work: SegmentWork) -> SegmentOutcome:
-    if _DURABLE_HOST is None:
-        raise RuntimeError("durable segment worker was not initialized")
-    return _execute_segment(_DURABLE_HOST, work)
+    return _execute_segment(_WORKER_HOST, work)
 
 
 class PoolTransport:
-    """Supervisor transport over a :class:`WorkerPool` of processes.
+    """Broadcast-initialized process pool with an async submit surface.
 
-    ``submit`` returns the pool's ``AsyncResult`` handle; ``poll`` is
-    non-blocking. Process-pool workers cannot heartbeat mid-segment (a
-    segment is one call), so :meth:`heartbeat` reports ``None`` and
-    lease expiry falls back to grant time + ``lease_timeout`` — size the
-    timeout to cover a whole segment.
+    The broadcast ships once, at spawn, to every worker. ``submit``
+    returns the pool's ``AsyncResult`` handle; ``poll`` is non-blocking,
+    so the :class:`RunSupervisor` can hold leases over the handles.
+    Process-pool workers cannot heartbeat mid-segment (a segment is one
+    call), so there is no ``heartbeat`` and lease expiry falls back to
+    grant time + ``lease_timeout`` — size the timeout to cover a whole
+    segment.
     """
 
-    def __init__(
-        self,
-        broadcast,
-        *,
-        workers: int,
-        start_method: str | None = None,
-    ) -> None:
-        self._pool = WorkerPool(
-            broadcast,
-            workers=workers,
-            runner=_run_segment_worker,
-            initializer=_init_durable_worker,
-            start_method=start_method,
+    def __init__(self, broadcast, *, workers: int) -> None:
+        self.capacity = max(1, int(workers))
+        payload = pickle.dumps(broadcast, protocol=pickle.HIGHEST_PROTOCOL)
+        self._pool = _open_pool(
+            self.capacity, initializer=_init_worker, initargs=(payload,)
         )
-        self.capacity = self._pool.workers
+        self._closed = False
 
     def submit(self, work: SegmentWork):
-        return self._pool.submit(work)
+        return self._pool.apply_async(_run_segment_worker, (work,))
 
     def poll(self, handle) -> SegmentOutcome | None:
         if not handle.ready():
@@ -332,11 +347,20 @@ class PoolTransport:
             payload["retryable"] = True
             return SegmentOutcome(index=-1, rows=[], quarantine=[], error=payload)
 
-    def heartbeat(self, handle) -> float | None:
-        return None
-
     def close(self, *, force: bool = False) -> None:
-        self._pool.close(force=force)
+        """Shut the pool down; ``force`` kills workers instead of waiting.
+
+        ``force=True`` is the hung-worker/deadline path — a graceful
+        close would join forever on a wedged process.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        if force:
+            self._pool.terminate()
+        else:
+            self._pool.close()
+        self._pool.join()
 
 
 # -- the supervisor -----------------------------------------------------------
@@ -397,6 +421,8 @@ class RunSupervisor:
             "worker_failures": 0,
             "drained": False,
         }
+        #: Committed outcomes, in settle order (their stats merge back).
+        self.settled: list[SegmentOutcome] = []
 
     def request_drain(self) -> None:
         """Stop granting; commit in-flight work; raise ``RunInterrupted``."""
@@ -487,6 +513,7 @@ class RunSupervisor:
             self.journal.commit_segment(
                 lease.work.index, outcome.rows, quarantine=outcome.quarantine
             )
+            self.settled.append(outcome)
             return True
         self.stats["worker_failures"] += 1
         error = error_from_context(outcome.error)
@@ -518,25 +545,28 @@ class RunSupervisor:
             progressed = False
             for index in list(leases):
                 outcome = self._poll_lease(leases[index])
-                if outcome is not None and outcome.error is None:
+                if outcome is None:
+                    continue
+                if outcome.error is None:
                     self.journal.commit_segment(
                         index, outcome.rows, quarantine=outcome.quarantine
                     )
-                    del leases[index]
-                    progressed = True
-                elif outcome is not None:
-                    del leases[index]  # failed in-flight work: abandon
-                    progressed = True
+                del leases[index]  # a failed in-flight segment is abandoned
+                progressed = True
             if not progressed:
                 self._sleep(self.config.poll_interval)
         self.transport.close(force=bool(leases))
-        committed = len(self.journal.segments)
-        total = len(self.journal.manifest["segments"])
-        raise RunInterrupted(
-            f"run drained: {committed}/{total} segments committed; "
-            "re-run with --resume to continue",
-            stage="run",
-        )
+        raise _drained(self.journal)
+
+
+def _drained(journal: RunJournal) -> RunInterrupted:
+    committed = len(journal.segments)
+    total = len(journal.manifest["segments"])
+    return RunInterrupted(
+        f"run drained: {committed}/{total} segments committed; "
+        "re-run with --resume to continue",
+        stage="run",
+    )
 
 
 # -- segment planning ---------------------------------------------------------
@@ -555,6 +585,276 @@ def plan_segments(costs: Sequence[int], segment_items: int):
     if not costs:
         return []
     return plan_shards(costs, max(1, math.ceil(len(costs) / segment_items)))
+
+
+# -- the runner ---------------------------------------------------------------
+
+
+def _item_costs(kind: str, items: Sequence[Any]) -> list[int]:
+    if kind == KIND_PIPELINE:
+        return [estimate_report_cost(report) for report in items]
+    return [estimate_text_cost(text) for text in items]
+
+
+def _segment_works(
+    host: Any,
+    kind: str,
+    items: Sequence[Any],
+    segments: Sequence[Any],
+    *,
+    mode: str,
+    fields: Sequence[str] = (),
+    shard_faults: Mapping[int, Sequence[FaultSpec]] | None = None,
+) -> list[SegmentWork]:
+    """One work unit per planned segment.
+
+    The host's own fault specs apply to every segment, each under its
+    own :func:`shard_seed`; ``shard_faults`` adds specs to single
+    segments (chaos testing of exactly one shard).
+    """
+    injector = getattr(host, "fault_injector", None)
+    base_specs = tuple(injector.specs) if injector is not None else ()
+    base_seed = injector.seed if injector is not None else 0
+    extra = shard_faults or {}
+    return [
+        SegmentWork(
+            index=segment.index,
+            start=segment.start,
+            stop=segment.stop,
+            kind=kind,
+            items=tuple(items[segment.start : segment.stop]),
+            mode=mode,
+            fields=tuple(fields),
+            specs=base_specs + tuple(extra.get(segment.index, ())),
+            seed=shard_seed(base_seed, segment.index),
+        )
+        for segment in segments
+    ]
+
+
+def _commit(
+    outcome: SegmentOutcome, journal: RunJournal | None
+) -> SegmentOutcome:
+    """Re-raise a failed segment's live error; journal a finished one."""
+    if outcome.error is not None:
+        raise outcome.exception
+    if journal is not None:
+        journal.commit_segment(
+            outcome.index, outcome.rows, quarantine=outcome.quarantine
+        )
+    return outcome
+
+
+def _run_in_order(
+    host: Any,
+    works: Sequence[SegmentWork],
+    journal: RunJournal | None,
+    drain_event: threading.Event | None,
+    *,
+    isolate: bool = True,
+) -> list[SegmentOutcome]:
+    """Execute ``works`` one after another in-process, settling each."""
+    settled = []
+    for work in works:
+        if drain_event is not None and drain_event.is_set():
+            raise _drained(journal)
+        outcome = _execute_segment(host, work, isolate=isolate)
+        settled.append(_commit(outcome, journal))
+    return settled
+
+
+def _run_segments(
+    works: list[SegmentWork],
+    host: Any,
+    kind: str,
+    *,
+    workers: int,
+    journal: RunJournal | None = None,
+    config: SupervisorConfig | None = None,
+    drain_event: threading.Event | None = None,
+) -> tuple[list[SegmentOutcome], dict]:
+    """Execute ``works``: the one code path that runs corpus work.
+
+    The host is broadcast once, and every segment runs through
+    :func:`_execute_segment` on a copy restored from that broadcast:
+    in-process for ``workers<=1`` (or a single segment), in a
+    :class:`PoolTransport` otherwise. With a ``journal``, each segment
+    commits as it settles, and pooled runs go through the
+    lease-supervised :class:`RunSupervisor`. Without one, the returned
+    outcomes are the only sink; there is nothing to re-grant into, so
+    there are no leases, and results settle in segment order — under
+    ``on_error="raise"`` the lowest-indexed failure surfaces, as in a
+    sequential run, and it is the live error the segment raised.
+
+    One exception: a journaled sequential rows run executes on the live
+    host. Serialized state restores bitwise-identically, so skipping the
+    broadcast round-trip cannot change output; it saves the round-trip
+    and keeps the host's caches warm, and the host's own calls keep its
+    stats current.
+
+    Returns the settled outcomes in segment order plus execution stats;
+    otherwise the outcomes' stats are merged back into ``host``
+    (:func:`_merge_stats`).
+    """
+    pooled = workers > 1 and len(works) > 1
+    if not pooled and journal is not None and kind != KIND_PIPELINE:
+        saved_injector = getattr(host, "fault_injector", None)
+        try:
+            settled = _run_in_order(
+                host, works, journal, drain_event, isolate=False
+            )
+        finally:
+            if hasattr(host, "fault_injector"):
+                host.fault_injector = saved_injector
+        return settled, {"workers": 1, "supervised": False}
+    started = time.perf_counter()
+    # broadcast_pipeline is looked up in this module's namespace on every
+    # call, so a wrapper installed there sees each pipeline broadcast.
+    if kind == KIND_PIPELINE:
+        broadcast = broadcast_pipeline(host)
+    else:
+        broadcast = _broadcast(host, ("",))
+    broadcast_seconds = time.perf_counter() - started
+    if not pooled:
+        local = restore_pipeline(broadcast)
+        settled = _run_in_order(local, works, journal, drain_event)
+        run = {"workers": 1, "supervised": False}
+    else:
+        transport = PoolTransport(broadcast, workers=min(workers, len(works)))
+        try:
+            if journal is not None:
+                supervisor = RunSupervisor(
+                    journal, transport, config=config, drain_event=drain_event
+                )
+                supervisor.run(works)
+                settled = supervisor.settled
+                run = {"workers": workers, "supervised": True}
+                run.update(supervisor.stats)
+            else:
+                handles = [transport.submit(work) for work in works]
+                settled = [_commit(handle.get(), None) for handle in handles]
+                run = {"workers": workers, "supervised": False}
+        finally:
+            transport.close(force=True)
+    settled.sort(key=lambda outcome: outcome.index)
+    _merge_stats(
+        host,
+        kind,
+        settled,
+        mode=works[0].mode,
+        workers=workers,
+        wall=time.perf_counter() - started,
+        broadcast_seconds=broadcast_seconds,
+        broadcast_bytes=broadcast.num_bytes,
+    )
+    return settled, run
+
+
+#: Pipeline last_run_stats keys summed across segments by the merge.
+_SUMMED_STAT_KEYS = (
+    "detect_seconds",
+    "extract_seconds",
+    "blocks",
+    "detected_blocks",
+    "extraction_units",
+    "retries",
+    "failures",
+    "degraded_records",
+    "failed_records",
+    "fallback_documents",
+    "quarantined_documents",
+    "sanitized_blocks",
+)
+
+
+def _merge_stats(
+    host: Any,
+    kind: str,
+    outcomes: Sequence[SegmentOutcome],
+    *,
+    mode: str,
+    workers: int,
+    wall: float,
+    broadcast_seconds: float,
+    broadcast_bytes: int,
+) -> None:
+    """Fold the segments' stats back into ``host``: the one stats merge.
+
+    Each component's per-segment ``RunStats`` sum once into its
+    ``last_run_stats`` and ``total_run_stats``, with ``wall_seconds``
+    set to the run's wall clock; summing the segments' walls would
+    count worker-seconds, and ``tokens_per_second`` would read per
+    worker-second. A pipeline host also gets a ``last_run_stats`` dict
+    whose counters sum the per-segment counters exactly (the
+    per-segment dicts are kept under ``"shards"``).
+    """
+    merged: dict[str, RunStats] = {}
+    for name, owner in _stats_owners(host, kind).items():
+        stats = RunStats()
+        for outcome in outcomes:
+            if name in outcome.model_stats:
+                stats = stats.merge(outcome.model_stats[name])
+        stats.wall_seconds = wall
+        with getattr(owner, "_stats_lock", contextlib.nullcontext()):
+            owner.last_run_stats = stats
+            owner.total_run_stats = owner.total_run_stats.merge(stats)
+        merged[name] = stats
+    if kind != KIND_PIPELINE:
+        return
+    shards = [outcome.stats for outcome in outcomes]
+    summary: dict = {
+        name: sum((stats or {}).get(name, 0) for stats in shards)
+        for name in _SUMMED_STAT_KEYS
+    }
+    blocks = int(summary["blocks"])
+    summary.update(
+        {
+            "wall_seconds": wall,
+            "blocks_per_second": blocks / wall if wall > 0 else 0.0,
+            "records": sum(len(outcome.rows) for outcome in outcomes),
+            "on_error": mode,
+            "fast_path": all(
+                (stats or {}).get("fast_path", True) for stats in shards
+            ),
+            "extractor": merged.get("extractor", RunStats()).as_dict(),
+            "workers": workers,
+            "num_shards": len(outcomes),
+            "shard_wall_seconds": sum(
+                (stats or {}).get("wall_seconds", 0.0) for stats in shards
+            ),
+            "broadcast_seconds": broadcast_seconds,
+            "broadcast_bytes": broadcast_bytes,
+            "shards": shards,
+        }
+    )
+    host.last_run_stats = summary
+
+
+def _run_corpus(
+    host: Any,
+    kind: str,
+    items: Sequence[Any],
+    *,
+    workers: int,
+    num_shards: int | None = None,
+    mode: str = "raise",
+    shard_faults: Mapping[int, Sequence[FaultSpec]] | None = None,
+) -> list[SegmentOutcome]:
+    """A non-journaled run: outcomes of token-balanced shards, in order.
+
+    The shard count is ``min(num_shards or workers, len(items))`` — one
+    big batch per worker by default, not journal-sized segments.
+    """
+    items = list(items)
+    if not items:
+        return []
+    shards = plan_shards(
+        _item_costs(kind, items), min(num_shards or workers, len(items))
+    )
+    works = _segment_works(
+        host, kind, items, shards, mode=mode, shard_faults=shard_faults
+    )
+    return _run_segments(works, host, kind, workers=workers)[0]
 
 
 # -- durable run drivers ------------------------------------------------------
@@ -580,84 +880,58 @@ class DurableRunResult:
         return [payload["row"] for payload in self.payloads]
 
 
-def _broadcast_host(host: Any, kind: str):
-    if kind == KIND_PIPELINE:
-        return broadcast_pipeline(host)
-    if kind == KIND_EXTRACTION:
-        return broadcast_extractor(host)
-    return broadcast_classifier(host)
-
-
-def _host_specs(host: Any) -> tuple[tuple[FaultSpec, ...], int]:
-    injector = getattr(host, "fault_injector", None)
-    if injector is None:
-        return (), 0
-    return tuple(injector.specs), injector.seed
-
-
-def _run_segments(
-    journal: RunJournal,
-    works: list[SegmentWork],
+def _run_journaled(
     host: Any,
     kind: str,
+    items: list,
+    run_dir,
     *,
+    identity: dict,
+    digest: str,
+    mode: str,
+    fields: Sequence[str],
     workers: int,
+    resume: bool,
+    segment_items: int,
     config: SupervisorConfig | None,
+    fault_injector: FaultInjector | None,
     drain_event: threading.Event | None,
-    start_method: str | None,
-) -> dict:
-    """Execute pending works and commit them; returns supervisor stats.
-
-    ``workers<=1`` runs in-process and honors the drain event between
-    segments; ``workers>1`` goes through the full lease-supervised
-    pool. Rows kinds run sequentially on the live host (serialized
-    state restores bitwise-identically, so skipping the broadcast
-    round-trip cannot change output); pipeline segments reset run-scoped
-    host state, so the sequential path executes them on a host restored
-    from the broadcast to leave the caller's pipeline untouched.
-    """
-    if workers <= 1 or len(works) <= 1:
-        if kind == KIND_PIPELINE:
-            local = restore_pipeline(_broadcast_host(host, kind))
-        else:
-            local = host
-        saved_injector = getattr(host, "fault_injector", None)
-        try:
-            for work in works:
-                if drain_event is not None and drain_event.is_set():
-                    raise RunInterrupted(
-                        f"run drained: {len(journal.segments)}/"
-                        f"{len(journal.manifest['segments'])} segments "
-                        "committed; re-run with --resume to continue",
-                        stage="run",
-                    )
-                outcome = _execute_segment(local, work)
-                if outcome.error is not None:
-                    raise error_from_context(outcome.error)
-                journal.commit_segment(
-                    work.index, outcome.rows, quarantine=outcome.quarantine
-                )
-        finally:
-            if local is host and hasattr(host, "fault_injector"):
-                host.fault_injector = saved_injector
-        return {"workers": 1, "supervised": False}
-    transport = PoolTransport(
-        _broadcast_host(host, kind),
-        workers=min(workers, len(works)),
-        start_method=start_method,
+) -> DurableRunResult:
+    """Plan, bind the journal to the run's identity, run what is pending."""
+    segments = plan_segments(_item_costs(kind, items), segment_items)
+    journal = RunJournal(run_dir, resume=resume, fault_injector=fault_injector)
+    journal.begin(
+        kind=kind,
+        config_hash=config_fingerprint(kind=kind, **identity),
+        input_digest=digest,
+        num_items=len(items),
+        segments=[(segment.start, segment.stop) for segment in segments],
     )
-    supervisor = RunSupervisor(
-        journal, transport, config=config, drain_event=drain_event
+    run_stats: dict = {"workers": workers, "supervised": False}
+    pending = set(journal.pending())
+    if pending:
+        works = [
+            work
+            for work in _segment_works(
+                host, kind, items, segments, mode=mode, fields=fields
+            )
+            if work.index in pending
+        ]
+        __, run_stats = _run_segments(
+            works,
+            host,
+            kind,
+            workers=workers,
+            journal=journal,
+            config=config,
+            drain_event=drain_event,
+        )
+    journal.mark_complete()
+    return DurableRunResult(
+        payloads=journal.rows(),
+        journal=journal,
+        stats={**journal.stats(), **run_stats},
     )
-    try:
-        supervisor.run(works)
-    finally:
-        transport.close()
-    return {
-        "workers": workers,
-        "supervised": True,
-        **supervisor.stats,
-    }
 
 
 def run_durable_rows(
@@ -674,7 +948,6 @@ def run_durable_rows(
     config: SupervisorConfig | None = None,
     fault_injector: FaultInjector | None = None,
     drain_event: threading.Event | None = None,
-    start_method: str | None = None,
 ) -> DurableRunResult:
     """Journaled bulk inference: texts in, ``(row, status)`` pairs out.
 
@@ -703,58 +976,25 @@ def run_durable_rows(
             fields = ("Label", "Score")
         else:
             fields = tuple(getattr(host.config, "fields", ()))
-    model = getattr(host, "model", None)
-    fingerprint = model.fingerprint() if model is not None else ""
-    segments = plan_segments(
-        [estimate_text_cost(text) for text in texts], segment_items
-    )
-    journal = RunJournal(run_dir, resume=resume, fault_injector=fault_injector)
-    journal.begin(
-        kind=kind,
-        config_hash=config_fingerprint(
-            kind=kind,
-            fingerprint=fingerprint,
-            fields=list(fields),
-            on_error=on_error,
-        ),
-        input_digest=input_digest(texts),
-        num_items=len(texts),
-        segments=[(segment.start, segment.stop) for segment in segments],
-    )
-    run_stats: dict = {"workers": workers, "supervised": False}
-    pending = set(journal.pending())
-    if pending:
-        base_specs, base_seed = _host_specs(host)
-        works = [
-            SegmentWork(
-                index=segment.index,
-                start=segment.start,
-                stop=segment.stop,
-                kind=kind,
-                items=tuple(texts[segment.start : segment.stop]),
-                mode=on_error,
-                fields=tuple(fields),
-                specs=base_specs,
-                seed=shard_seed(base_seed, segment.index),
-            )
-            for segment in segments
-            if segment.index in pending
-        ]
-        run_stats = _run_segments(
-            journal,
-            works,
-            host,
-            kind,
-            workers=workers,
-            config=config,
-            drain_event=drain_event,
-            start_method=start_method,
-        )
-    journal.mark_complete()
-    return DurableRunResult(
-        payloads=journal.rows(),
-        journal=journal,
-        stats={**journal.stats(), **run_stats},
+    return _run_journaled(
+        host,
+        kind,
+        texts,
+        run_dir,
+        identity={
+            "fingerprint": _model_fingerprint(host),
+            "fields": list(fields),
+            "on_error": on_error,
+        },
+        digest=input_digest(texts),
+        mode=on_error,
+        fields=fields,
+        workers=workers,
+        resume=resume,
+        segment_items=segment_items,
+        config=config,
+        fault_injector=fault_injector,
+        drain_event=drain_event,
     )
 
 
@@ -770,7 +1010,6 @@ def run_durable_reports(
     config: SupervisorConfig | None = None,
     fault_injector: FaultInjector | None = None,
     drain_event: threading.Event | None = None,
-    start_method: str | None = None,
 ) -> DurableRunResult:
     """Journaled GoalSpotter corpus run: reports in, record payloads out.
 
@@ -791,61 +1030,31 @@ def run_durable_reports(
             stage="pipeline",
         )
     reports = list(reports)
-    segments = plan_segments(
-        [estimate_report_cost(report) for report in reports], segment_items
+    result = _run_journaled(
+        pipeline,
+        KIND_PIPELINE,
+        reports,
+        run_dir,
+        identity={
+            "detector": _model_fingerprint(pipeline.detector),
+            "extractor": _model_fingerprint(pipeline.extractor),
+            "on_error": mode,
+        },
+        digest=_reports_digest(reports),
+        mode=mode,
+        fields=(),
+        workers=workers,
+        resume=resume,
+        segment_items=segment_items,
+        config=config,
+        fault_injector=fault_injector,
+        drain_event=drain_event,
     )
-    journal = RunJournal(run_dir, resume=resume, fault_injector=fault_injector)
-    journal.begin(
-        kind=KIND_PIPELINE,
-        config_hash=config_fingerprint(
-            kind=KIND_PIPELINE,
-            detector=_model_fingerprint(pipeline.detector),
-            extractor=_model_fingerprint(pipeline.extractor),
-            on_error=mode,
-        ),
-        input_digest=_reports_digest(reports),
-        num_items=len(reports),
-        segments=[(segment.start, segment.stop) for segment in segments],
-    )
-    run_stats: dict = {"workers": workers, "supervised": False}
-    pending = set(journal.pending())
-    if pending:
-        base_specs, base_seed = _host_specs(pipeline)
-        works = [
-            SegmentWork(
-                index=segment.index,
-                start=segment.start,
-                stop=segment.stop,
-                kind=KIND_PIPELINE,
-                items=tuple(reports[segment.start : segment.stop]),
-                mode=mode,
-                fields=(),
-                specs=base_specs,
-                seed=shard_seed(base_seed, segment.index),
-            )
-            for segment in segments
-            if segment.index in pending
-        ]
-        run_stats = _run_segments(
-            journal,
-            works,
-            pipeline,
-            KIND_PIPELINE,
-            workers=workers,
-            config=config,
-            drain_event=drain_event,
-            start_method=start_method,
-        )
-    journal.mark_complete()
     pipeline.quarantine.extend(
         QuarantineEntry.from_dict(payload)
-        for payload in journal.quarantine_payloads()
+        for payload in result.journal.quarantine_payloads()
     )
-    return DurableRunResult(
-        payloads=journal.rows(),
-        journal=journal,
-        stats={**journal.stats(), **run_stats},
-    )
+    return result
 
 
 def _model_fingerprint(owner: Any) -> str:

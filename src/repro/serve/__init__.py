@@ -75,15 +75,6 @@ from repro.serve.router import (
     make_policy,
 )
 
-# Bulk (offline) lane of a serving deployment: the data-parallel corpus
-# runtime, re-exported so serving callers can drain backlogs on every core
-# with the same bitwise-reproducibility contract as the online lane.
-from repro.runtime.parallel import (
-    extract_batch_parallel,
-    process_reports_parallel,
-    resolve_workers,
-)
-
 __all__ = [
     "AdmissionController",
     "AutoscalePolicy",
@@ -114,12 +105,9 @@ __all__ = [
     "build_demo_backend",
     "build_request_texts",
     "build_swappable_extractor",
-    "extract_batch_parallel",
     "fleet_cache_view",
     "make_policy",
     "merge_counters",
-    "process_reports_parallel",
-    "resolve_workers",
     "run_load_level",
     "run_serving_bench",
 ]

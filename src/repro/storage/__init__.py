@@ -13,7 +13,6 @@ from repro.storage.store import (
     SCHEMA_VERSION,
     StoredObjective,
     atomic_store_records,
-    atomic_store_shards,
     record_digest,
 )
 from repro.storage.monitor import (
@@ -30,7 +29,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "StoredObjective",
     "atomic_store_records",
-    "atomic_store_shards",
     "company_comparison",
     "deadline_timeline",
     "horizon_statistics",

@@ -515,42 +515,3 @@ def atomic_store_records(
         injector=fault_injector,
         sleep=sleep,
     )
-
-
-def atomic_store_shards(
-    path: str | Path,
-    shards: Iterable,
-    *,
-    retry_policy=None,
-    fault_injector=None,
-    dedupe: bool = False,
-    extractor_fingerprint: str = "",
-    sleep: Callable[[float], None] = time.sleep,
-) -> list[int]:
-    """Commit per-shard record batches, one atomic write per shard.
-
-    The durable companion to :mod:`repro.runtime.parallel`: each shard's
-    records land via :func:`atomic_store_records` (temp copy + fsync +
-    ``os.replace``), in shard order, so a crash mid-corpus leaves every
-    previously committed shard durable and the failing shard entirely
-    unapplied — never a torn batch. ``shards`` may hold plain record
-    sequences or :class:`~repro.runtime.parallel.ShardResult` objects
-    (their ``records`` are used).
-
-    Returns rows added per shard, in shard order.
-    """
-    counts: list[int] = []
-    for shard in shards:
-        records = getattr(shard, "records", shard)
-        counts.append(
-            atomic_store_records(
-                path,
-                records,
-                retry_policy=retry_policy,
-                fault_injector=fault_injector,
-                dedupe=dedupe,
-                extractor_fingerprint=extractor_fingerprint,
-                sleep=sleep,
-            )
-        )
-    return counts

@@ -41,11 +41,7 @@ from repro.models.text_classifier import (
 )
 from repro.models.training import FineTuneConfig
 from repro.runtime.errors import InputError, ReproError
-from repro.runtime.parallel import (
-    classify_batch_parallel,
-    extract_batch_parallel,
-    resolve_workers,
-)
+from repro.runtime.parallel import resolve_workers
 from repro.goalspotter.pipeline import ON_ERROR_POLICIES
 from repro.runtime.resilience import RetryPolicy, run_stage
 from repro.tasks.base import KIND_CLASSIFICATION, KIND_EXTRACTION, Task
@@ -95,7 +91,6 @@ class TaskModel(abc.ABC):
     def run_batch(self, texts: Sequence[str]) -> list[dict[str, str]]:
         """One output row per text, in order."""
 
-    @abc.abstractmethod
     def run_batch_parallel(
         self,
         texts: Sequence[str],
@@ -104,6 +99,18 @@ class TaskModel(abc.ABC):
         num_shards: int | None = None,
     ) -> list[dict[str, str]]:
         """Multiprocess ``run_batch``; bitwise-identical to ``workers=1``."""
+        from repro.runtime.supervisor import _run_corpus
+
+        outcomes = _run_corpus(
+            self.backend,
+            self.kind,
+            texts,
+            workers=resolve_workers(workers),
+            num_shards=num_shards,
+        )
+        return [
+            payload["row"] for outcome in outcomes for payload in outcome.rows
+        ]
 
     @abc.abstractmethod
     def save(self, directory: str | Path) -> None:
@@ -248,17 +255,6 @@ class ExtractionModel(TaskModel):
     def run_batch(self, texts: Sequence[str]) -> list[dict[str, str]]:
         return self.backend.extract_batch(list(texts))
 
-    def run_batch_parallel(
-        self,
-        texts: Sequence[str],
-        *,
-        workers: int | str | None = None,
-        num_shards: int | None = None,
-    ) -> list[dict[str, str]]:
-        return extract_batch_parallel(
-            self.backend, list(texts), workers=workers, num_shards=num_shards
-        )
-
     def save(self, directory: str | Path) -> None:
         self.backend.save(directory)
 
@@ -306,29 +302,12 @@ class ClassificationModel(TaskModel):
         )
         return self
 
-    def _rows(self, probabilities: np.ndarray) -> list[dict[str, str]]:
-        return classification_rows(self.labels, probabilities)
-
     def predict_proba(self, texts: Sequence[str]) -> np.ndarray:
         return self.backend.predict_proba(list(texts))
 
     def run_batch(self, texts: Sequence[str]) -> list[dict[str, str]]:
-        return self._rows(self.backend.predict_proba(list(texts)))
-
-    def run_batch_parallel(
-        self,
-        texts: Sequence[str],
-        *,
-        workers: int | str | None = None,
-        num_shards: int | None = None,
-    ) -> list[dict[str, str]]:
-        return self._rows(
-            classify_batch_parallel(
-                self.backend,
-                list(texts),
-                workers=workers,
-                num_shards=num_shards,
-            )
+        return classification_rows(
+            self.labels, self.backend.predict_proba(list(texts))
         )
 
     def save(self, directory: str | Path) -> None:

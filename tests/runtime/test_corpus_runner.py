@@ -1,0 +1,209 @@
+"""The one corpus runner: non-journaled and journaled runs agree.
+
+A non-journaled ``workers=N`` run is a journaled run with an in-memory
+sink and no leases. These tests pin the invariant that makes one runner
+correct — with the same shard layout and the same fault seeds, the two
+paths produce the same records and quarantine — the merged-stats
+contract (wall time is the run's wall clock, not summed worker-seconds)
+and the error contract (a failed shard raises the error it raised).
+"""
+
+import math
+import threading
+import time
+import traceback
+
+import numpy as np
+import pytest
+
+from repro.core.base import DetailExtractor
+from repro.datasets.reports import ReportGenerator
+from repro.goalspotter.pipeline import GoalSpotter
+from repro.runtime.parallel import (
+    extract_batch_parallel,
+    process_reports_parallel,
+)
+from repro.runtime.errors import ModelError
+from repro.runtime.profiling import RunStats
+from repro.runtime.resilience import FaultInjector, FaultSpec
+from repro.runtime.supervisor import run_durable_rows
+
+pytestmark = pytest.mark.parallel
+
+SEGMENT_ITEMS = 3
+
+
+# Module-level stubs: worker processes unpickle the broadcast skeleton by
+# qualified name.
+class RunnerDetector:
+    class config:
+        threshold = 0.5
+
+    def predict_proba(self, texts):
+        return np.array(
+            [0.9 if ("%" in t or "20" in t) else 0.1 for t in texts]
+        )
+
+
+class RunnerExtractor(DetailExtractor):
+    name = "runner-stub"
+
+    def fit(self, objectives):
+        return self
+
+    def extract(self, text):
+        return {"Action": text[:14], "Amount": str(len(text)),
+                "Qualifier": "", "Baseline": "", "Deadline": ""}
+
+
+class FixedWallExtractor(DetailExtractor):
+    """Every call reports one second of wall time, like a slow shard."""
+
+    name = "fixed-wall"
+    _stats_lock = threading.Lock()  # class-level, so instances pickle
+
+    def __init__(self):
+        self.last_run_stats = None
+        self.total_run_stats = RunStats()
+
+    def fit(self, objectives):
+        return self
+
+    def extract(self, text):
+        return {"Action": text.upper()}
+
+    def extract_batch(self, texts):
+        stats = RunStats(wall_seconds=1.0, sequences=len(texts))
+        self.last_run_stats = stats
+        self.total_run_stats = self.total_run_stats.merge(stats)
+        return [self.extract(text) for text in texts]
+
+
+class BrokenExtractor(DetailExtractor):
+    """Fails every batch with a foreign (non-taxonomy) exception."""
+
+    name = "broken"
+
+    def fit(self, objectives):
+        return self
+
+    def extract(self, text):
+        raise RuntimeError(f"cannot parse {text!r}")
+
+
+def _corpus():
+    generator = ReportGenerator(seed=31)
+    return [
+        generator.generate_report(f"Runner-{i}", f"run{i}", 2, 2)
+        for i in range(8)
+    ]
+
+
+def _faulty_pipeline():
+    return GoalSpotter(
+        RunnerDetector(),
+        RunnerExtractor(),
+        on_error="degrade",
+        fault_injector=FaultInjector(
+            [
+                FaultSpec(stage="detect", error="model", rate=0.4),
+                FaultSpec(stage="extract", error="model", rate=0.4),
+            ],
+            seed=11,
+        ),
+    )
+
+
+def _quarantine_keys(pipeline):
+    return [
+        (entry.report_id, entry.company, entry.stage,
+         type(entry.error).__name__, str(entry.error))
+        for entry in pipeline.quarantine
+    ]
+
+
+class TestOneRunner:
+    def test_sharded_run_equals_journaled_run_under_faults(self, tmp_path):
+        corpus = _corpus()
+        num_shards = math.ceil(len(corpus) / SEGMENT_ITEMS)
+
+        sharded = _faulty_pipeline()
+        records = process_reports_parallel(
+            sharded, corpus, workers=2, on_error="degrade",
+            num_shards=num_shards,
+        )
+        journaled = _faulty_pipeline()
+        durable = journaled.process_reports_durable(
+            corpus, tmp_path / "run", workers=2, on_error="degrade",
+            segment_items=SEGMENT_ITEMS,
+        )
+
+        assert records == durable
+        assert _quarantine_keys(sharded) == _quarantine_keys(journaled)
+        # The faults really fired: documents were quarantined.
+        assert sharded.quarantine.report_ids()
+
+    def test_non_journaled_stats_carry_no_durable_key(self):
+        pipeline = GoalSpotter(RunnerDetector(), RunnerExtractor())
+        process_reports_parallel(pipeline, _corpus(), workers=2)
+        assert "durable" not in pipeline.last_run_stats
+        assert pipeline.last_run_stats["num_shards"] == 2
+
+
+class TestMergedWallClock:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_wall_is_run_wall_not_worker_seconds(self, workers):
+        texts = [f"cut emissions {i}% by 2030" for i in range(6)]
+        extractor = FixedWallExtractor()
+        started = time.perf_counter()
+        rows = extract_batch_parallel(
+            extractor, texts, workers=workers, num_shards=2
+        )
+        elapsed = time.perf_counter() - started
+        assert rows == [{"Action": text.upper()} for text in texts]
+        merged = extractor.last_run_stats
+        # Two shards each reported 1.0 s; summing them would claim 2.0 s
+        # for a run the caller timed at a fraction of that.
+        assert merged.wall_seconds <= elapsed
+        assert merged.sequences == len(texts)
+        # The run folds into the lifetime totals once per shard.
+        assert extractor.total_run_stats.sequences == len(texts)
+        assert extractor.total_run_stats.wall_seconds == merged.wall_seconds
+
+
+class TestJournaledSequentialRows:
+    def test_runs_on_the_live_host(self, tmp_path):
+        texts = [f"cut emissions {i}% by 2030" for i in range(6)]
+        extractor = FixedWallExtractor()
+        result = run_durable_rows(
+            extractor, "extraction", texts, tmp_path / "run",
+            segment_items=2, fields=("Action",),
+        )
+        assert result.rows == [{"Action": text.upper()} for text in texts]
+        # No broadcast copy: the host's own calls, one per segment, kept
+        # its stats, so the last one describes the last segment only.
+        assert extractor.last_run_stats.sequences == 2
+        assert extractor.total_run_stats.sequences == len(texts)
+
+
+class TestShardErrors:
+    def test_in_process_failure_keeps_cause_and_traceback(self):
+        with pytest.raises(ModelError) as caught:
+            extract_batch_parallel(
+                BrokenExtractor(), ["a", "b"], workers=1, num_shards=2
+            )
+        error = caught.value
+        # The live error, not one rebuilt from its payload: classified,
+        # chained to the foreign exception, with its traceback reaching
+        # back to the segment that raised it.
+        assert isinstance(error.__cause__, RuntimeError)
+        assert "cannot parse 'a'" in str(error)
+        assert "_rows_segment" in [entry.name for entry in caught.traceback]
+        cause_frames = traceback.extract_tb(error.__cause__.__traceback__)
+        assert "extract" in [frame.name for frame in cause_frames]
+
+    def test_pooled_failure_surfaces_the_lowest_shard_error(self):
+        with pytest.raises(ModelError, match="cannot parse 'a'"):
+            extract_batch_parallel(
+                BrokenExtractor(), ["a", "b"], workers=2, num_shards=2
+            )

@@ -21,13 +21,7 @@ import repro
 EXPECTED_RUNTIME_PARALLEL_EXPORTS = (
     "PipelineBroadcast",
     "Shard",
-    "ShardResult",
-    "ShardTask",
-    "WorkerPool",
-    "broadcast_classifier",
-    "broadcast_extractor",
     "broadcast_pipeline",
-    "classify_batch_parallel",
     "estimate_report_cost",
     "estimate_text_cost",
     "extract_batch_parallel",
@@ -36,15 +30,10 @@ EXPECTED_RUNTIME_PARALLEL_EXPORTS = (
     "process_reports_parallel",
     "resolve_workers",
     "restore_pipeline",
-    "run_shard",
     "shard_seed",
 )
 
-EXPECTED_SERVE_PARALLEL_EXPORTS = (
-    "extract_batch_parallel",
-    "process_reports_parallel",
-    "resolve_workers",
-)
+EXPECTED_SERVE_PARALLEL_EXPORTS = ()
 
 #: The light task-registry surface re-exported from the top-level package.
 EXPECTED_TASKS_EXPORTS = (
