@@ -10,15 +10,14 @@ from repro.nn.functional import masked_softmax
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module, is_inference
 
-_MASK_FILL = -1e9
-
 
 class MultiHeadSelfAttention(Module):
     """Standard transformer self-attention.
 
     Input is ``(batch, time, dim)``; ``mask`` is ``(batch, time)`` with 1 for
-    real tokens and 0 for padding. Padded key positions receive a large
-    negative score before the softmax so they get exactly zero weight.
+    real tokens and 0 for padding. The mask is applied once, inside
+    :func:`repro.nn.functional.masked_softmax`: padded keys get the score
+    ``MASK_FILL`` there and exactly zero weight.
 
     The query/key/value projections keep their own ``Linear`` modules (so
     parameter names, initialization, and checkpoints are unchanged) but are
@@ -156,9 +155,9 @@ class MultiHeadSelfAttention(Module):
         values = self._split_heads(raw_v)
 
         scale = 1.0 / math.sqrt(self.head_dim)
-        scores = (queries @ keys.transpose(0, 1, 3, 2)) * scale
+        scores = queries @ keys.transpose(0, 1, 3, 2)
+        scores *= scale
         key_mask = np.asarray(mask)[:, None, None, :]  # (B, 1, 1, T)
-        scores = np.where(key_mask > 0, scores, _MASK_FILL)
         weights = masked_softmax(scores, key_mask)
         weights = self.attn_dropout(weights)
         context = self._context(weights, values)

@@ -50,11 +50,17 @@ class FeedForward(Module):
         self.contract = Linear(ffn_dim, dim, rng)
         self.dropout = Dropout(dropout, rng)
         self._pre_activation: np.ndarray | None = None
+        self._tanh_inner: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         hidden = self.expand(x)
-        self._pre_activation = None if is_inference() else hidden
-        activated = gelu(hidden)
+        if is_inference():
+            self._pre_activation = self._tanh_inner = None
+            activated = gelu(hidden)
+        else:
+            # Keep the tanh term so the backward need not recompute it.
+            activated, self._tanh_inner = gelu(hidden, return_tanh=True)
+            self._pre_activation = hidden
         return self.dropout(self.contract(activated))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -62,7 +68,9 @@ class FeedForward(Module):
             raise RuntimeError("backward called before forward")
         dout = self.dropout.backward(dout)
         dactivated = self.contract.backward(dout)
-        dhidden = dactivated * gelu_grad(self._pre_activation)
+        dhidden = dactivated * gelu_grad(
+            self._pre_activation, self._tanh_inner
+        )
         return self.expand.backward(dhidden)
 
 

@@ -131,12 +131,16 @@ class LayerNorm(Module):
         self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        # Center once: the same sum and division as ``x.var``, which would
+        # recompute the mean and the subtraction.
+        x_hat = x - x.mean(axis=-1, keepdims=True)
+        var = np.square(x_hat).mean(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
+        x_hat *= inv_std
         self._cache = None if is_inference() else (x_hat, inv_std, x)
-        return self.gamma.value * x_hat + self.beta.value
+        out = self.gamma.value * x_hat
+        out += self.beta.value
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:

@@ -11,10 +11,15 @@ lands silently.
 
 Refreshing the fixture after an **intentional** behaviour change::
 
-    PYTHONPATH=src python -m pytest tests/integration/test_golden.py \
-        --update-golden
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \
+        tests/integration/test_golden.py --update-golden
 
 then review the fixture diff (git diff tests/golden/) before committing.
+The fixture's metadata records the numeric environment (numpy, BLAS
+vendor/version/threads, compute dtype). When a run's environment differs,
+the failure message names the changed keys before the per-field diff, so
+ulp drift from a multi-threaded BLAS reads as environment drift, not as
+a regression.
 
 Everything here is pinned: seeds, epochs, corpus shape, merge counts.
 Do not derive any of these from environment knobs — the fixture must
@@ -24,6 +29,7 @@ reproduce from a fresh checkout with no configuration.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.extractor import ExtractorConfig, WeakSupervisionExtractor
@@ -32,6 +38,7 @@ from repro.datasets.reports import ReportGenerator
 from repro.deploy import build_trained_pipeline
 from repro.goalspotter.detector import DetectorConfig
 from repro.models.training import FineTuneConfig
+from repro.nn.precision import numeric_environment
 
 pytestmark = pytest.mark.golden
 
@@ -112,6 +119,15 @@ def record_to_golden(record) -> dict:
     }
 
 
+def _ulp_distance(want_hex: str, got_hex: str) -> int:
+    """float32 ulps between two scores (both are float32 probabilities)."""
+    want, got = (
+        np.float32(float.fromhex(value)).view(np.int32)
+        for value in (want_hex, got_hex)
+    )
+    return abs(int(want) - int(got))
+
+
 def _diff_summary(expected: list[dict], actual: list[dict]) -> str:
     """Human-readable field-by-field diff, truncated to the first 20."""
     lines = []
@@ -122,16 +138,46 @@ def _diff_summary(expected: list[dict], actual: list[dict]) -> str:
     for index, (want, got) in enumerate(zip(expected, actual)):
         for field in RECORD_FIELDS:
             if want.get(field) != got.get(field):
-                lines.append(
+                line = (
                     f"record[{index}].{field}: "
                     f"{want.get(field)!r} -> {got.get(field)!r}"
                 )
+                if field == "score_hex":
+                    ulps = _ulp_distance(want[field], got[field])
+                    line += f" ({ulps} ulp)"
+                lines.append(line)
     if not lines:
         lines.append("(records match; metadata changed)")
     shown = lines[:20]
     if len(lines) > len(shown):
         shown.append(f"... and {len(lines) - len(shown)} more differences")
     return "\n".join(shown)
+
+
+def _environment_drift(metadata: dict) -> str:
+    """One ``environment drift:`` line per key that differs from the
+    environment the fixture was frozen in; empty when none does."""
+    frozen = metadata.get("environment", {})
+    current = numeric_environment()
+    return "".join(
+        f"environment drift: {key} changed "
+        f"({frozen[key]} → {current.get(key)})\n"
+        for key in sorted(frozen)
+        if frozen[key] != current.get(key)
+    )
+
+
+def _fail_on_drift(
+    metadata: dict, expected: list[dict], actual: list[dict], title: str
+) -> None:
+    """Fail with the environment drift (if any), then the per-field diff."""
+    if expected != actual:
+        pytest.fail(
+            _environment_drift(metadata)
+            + f"{title}:\n"
+            + _diff_summary(expected, actual),
+            pytrace=False,
+        )
 
 
 @pytest.fixture(scope="module")
@@ -155,8 +201,9 @@ class TestGoldenRegression:
                 "corpus_seed": CORPUS_SEED,
                 "num_reports": NUM_REPORTS,
                 "records": len(actual_records),
+                "environment": numeric_environment(),
                 "refresh": (
-                    "PYTHONPATH=src python -m pytest "
+                    "OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest "
                     "tests/integration/test_golden.py --update-golden"
                 ),
             },
@@ -179,14 +226,14 @@ class TestGoldenRegression:
         assert (
             golden["metadata"]["schema_version"] == SCHEMA_VERSION
         ), "golden schema_version mismatch — regenerate with --update-golden"
-        if golden["records"] != payload["records"]:
-            pytest.fail(
-                "end-to-end outputs drifted from the golden fixture:\n"
-                + _diff_summary(golden["records"], payload["records"])
-                + "\nIf this change is intentional, refresh with "
-                "--update-golden and commit the fixture diff.",
-                pytrace=False,
-            )
+        _fail_on_drift(
+            golden["metadata"],
+            golden["records"],
+            payload["records"],
+            "end-to-end outputs drifted from the golden fixture (if this "
+            "change is intentional, refresh with --update-golden and "
+            "commit the fixture diff)",
+        )
 
     def test_scores_are_bitwise_stable(self, actual_records, update_golden):
         """The logits-derived scores alone, compared via float.hex."""
@@ -195,11 +242,19 @@ class TestGoldenRegression:
         if not GOLDEN_PATH.exists():
             pytest.skip("golden fixture not generated yet")
         golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-        expected = [record["score_hex"] for record in golden["records"]]
-        actual = [
-            float(record.score).hex() for record in actual_records
+        expected = [
+            {"score_hex": record["score_hex"]} for record in golden["records"]
         ]
-        assert actual == expected
+        actual = [
+            {"score_hex": float(record.score).hex()}
+            for record in actual_records
+        ]
+        _fail_on_drift(
+            golden["metadata"],
+            expected,
+            actual,
+            "scores drifted from the golden fixture",
+        )
 
     @pytest.mark.parallel
     def test_parallel_run_matches_fixture(
@@ -214,10 +269,9 @@ class TestGoldenRegression:
         records = golden_pipeline.process_reports(
             build_golden_corpus(), workers=2
         )
-        actual = [record_to_golden(record) for record in records]
-        if golden["records"] != actual:
-            pytest.fail(
-                "parallel run drifted from the golden fixture:\n"
-                + _diff_summary(golden["records"], actual),
-                pytrace=False,
-            )
+        _fail_on_drift(
+            golden["metadata"],
+            golden["records"],
+            [record_to_golden(record) for record in records],
+            "parallel run drifted from the golden fixture",
+        )
