@@ -84,9 +84,10 @@ class ExtractorConfig:
     num_merges: int = 600
     normalize: bool = True
     seed: int = 13
-    #: Production batching: "bucketed" length-sorts sequences and packs
-    #: microbatches under ``token_budget`` padded tokens; "arrival" keeps
-    #: the naive fixed-row chunking (the pre-runtime behaviour).
+    #: Production batching: "bucketed" length-sorts sequences and cuts
+    #: them into least-cost microbatches of at most ``token_budget``
+    #: padded tokens; "arrival" keeps the naive fixed-row chunking (the
+    #: pre-runtime behaviour).
     batching: str = "bucketed"
     token_budget: int = 4096
     #: Numeric inference path: ``None`` keeps fp32; ``"int8"`` attaches the

@@ -120,13 +120,13 @@ class SequenceClassifier(Module):
     ) -> np.ndarray:
         """Class probabilities for each id sequence, ``(n, num_classes)``.
 
-        Uses the same length-bucketed scheduler as the token classifier
-        (token budget defaults to ``batch_size * max_len``); rows come back
-        in the original sequence order. With ``cache``, probability rows
-        are looked up by content key (ids + model fingerprint +
-        quantization variant) and only the misses are planned and
-        computed; width-invariant pooling makes hits bitwise-identical to
-        a full uncached run.
+        Uses the same cost-optimal length-sorted planner as the token
+        classifier (token budget defaults to ``batch_size * max_len``);
+        rows come back in the original sequence order. With ``cache``,
+        probability rows are looked up by content key (ids + model
+        fingerprint + quantization variant) and only the misses are
+        planned and computed; width-invariant pooling makes hits
+        bitwise-identical to a full uncached run.
         """
         from repro.nn.functional import softmax
 

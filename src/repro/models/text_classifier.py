@@ -84,8 +84,9 @@ class TextClassifierConfig:
         default_factory=lambda: FineTuneConfig(epochs=4, learning_rate=1e-3)
     )
     seed: int = 13
-    #: "bucketed" length-sorts sequences and packs microbatches under
-    #: ``token_budget`` padded tokens; "arrival" keeps fixed-row chunks.
+    #: "bucketed" length-sorts sequences and cuts them into least-cost
+    #: microbatches of at most ``token_budget`` padded tokens; "arrival"
+    #: keeps fixed-row chunks.
     batching: str = "bucketed"
     token_budget: int = 4096
     #: Content-addressed result cache over ``predict_proba`` (0 = off).

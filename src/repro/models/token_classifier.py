@@ -110,11 +110,13 @@ class TokenClassifier(Module):
     ) -> list[np.ndarray]:
         """Per-token logits ``(len(seq), num_labels)`` per id sequence.
 
-        Sequences are length-bucketed under a token budget (default
-        ``batch_size * max_len``), so mixed-length corpora pad to
-        near-uniform widths; results come back in the original order and
-        are bitwise-independent of the packing. ``sort_by_length=False``
-        reproduces naive arrival-order chunks of ``batch_size`` rows.
+        Sequences are sorted by length and cut into the microbatches of
+        least padded work plus per-call cost
+        (:func:`~repro.runtime.scheduler.plan_batches`), each under a
+        token budget (default ``batch_size * max_len``); results come back
+        in the original order and are bitwise-independent of the cuts.
+        ``sort_by_length=False`` reproduces naive arrival-order chunks of
+        ``batch_size`` rows.
 
         With ``cache`` (a :class:`~repro.runtime.rescache.ResultCache`),
         each sequence is first looked up by content key — normalized ids

@@ -1,12 +1,14 @@
-"""Length-bucketed batch planning for inference.
+"""Cost-optimal length-bucketed batch planning for inference.
 
 Arrival-order chunking pads every sequence in a chunk to the chunk's longest
 member, so a mixed-length corpus spends most of its FLOPs on padding. The
 planner here sorts sequences by token count (a stable sort, so ties keep
-arrival order), packs near-uniform-length neighbours into microbatches under
-a *token budget* — the padded footprint ``rows * width`` of the batch the
-encoder will actually see, not a fixed row count — and records the original
-index of every row so callers can restore arrival order exactly.
+arrival order) and cuts the sorted order into the microbatches of least
+total cost, where a microbatch costs its padded footprint ``rows * width``
+plus :data:`MICROBATCH_COST_TOKENS` for the encoder call itself. Every
+microbatch stays under a *token budget* on that footprint — the batch the
+encoder will actually see, not a fixed row count. The plan records the
+original index of every row so callers can restore arrival order exactly.
 
 The plan carries explicit width decisions; ``repro.nn.batching.pad_sequences``
 accepts them via its ``width`` argument so padding and planning cannot
@@ -15,13 +17,32 @@ disagree. Combined with the width-invariant attention softmax
 contraction (``MultiHeadSelfAttention.ctx_pad_to``), a sequence's logits are
 bitwise-identical no matter which microbatch it lands in, which is what lets
 ``tests/runtime/test_equivalence.py`` compare bucketed and arrival-order
-plans with ``np.array_equal``.
+plans with ``np.array_equal`` — and what makes the choice of cuts a pure
+throughput decision.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
+import heapq
+import sys
+from collections.abc import Callable, Sequence
+
+#: Fixed cost of one encoder call, in padded tokens. Calibrated on a 2-core
+#: x86-64 host (numpy 2.4.6, OpenBLAS 0.3.31, one BLAS thread): the 580
+#: microbatch shapes the planner cuts on perfbench's ``extract`` corpus,
+#: each timed as the fastest of 7 forwards at the detector (dim 64, 2
+#: layers) and extractor (dim 96, 3 layers) geometry, fit as ``seconds =
+#: a * padded_tokens + b`` by least squares on relative error:
+#:
+#: - detector: 6.7e-6 s/token + 3.6e-4 s, so b / a = 54 tokens;
+#: - extractor: 1.4e-5 s/token + 5.1e-4 s, so b / a = 37 tokens.
+#:
+#: One constant serves both models, so it sits between the two fits.
+#: Plain least squares puts the intercept near zero: past about 1,000
+#: padded tokens the per-token cost climbs again as the working set
+#: leaves cache, so large microbatches dominate that fit.
+MICROBATCH_COST_TOKENS = 48
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,6 +91,13 @@ def plan_batches(
 ) -> BatchPlan:
     """Plan microbatches over sequences of the given token counts.
 
+    With ``sort_by_length`` the sequences are stably sorted by effective
+    length and the sorted order is cut into the contiguous microbatches
+    that minimise ``sum(rows * width + MICROBATCH_COST_TOKENS)`` under the
+    budget and row caps (see :func:`_min_cost_cuts`). Without it, arrival
+    order is chunked greedily: a chunk closes when the next sequence would
+    break the budget or ``max_rows``.
+
     Args:
         lengths: per-sequence token counts, in arrival order.
         token_budget: cap on a microbatch's padded footprint
@@ -80,13 +108,14 @@ def plan_batches(
         max_rows: optional cap on rows per microbatch. With
             ``sort_by_length=False`` and a generous budget this reproduces
             naive arrival-order chunking exactly.
-        sort_by_length: sort sequences by token count before packing
+        sort_by_length: sort sequences by token count before cutting
             (stable, so equal lengths keep arrival order).
 
     Returns:
         A :class:`BatchPlan` whose microbatches partition
         ``range(len(lengths))`` — every index appears in exactly one
-        microbatch, exactly once.
+        microbatch, exactly once. The plan is a pure function of the
+        arguments.
     """
     if token_budget <= 0:
         raise ValueError("token_budget must be positive")
@@ -94,37 +123,113 @@ def plan_batches(
         raise ValueError("max_rows must be positive")
 
     # Effective length: what the padded batch will actually be sized by.
-    effective = [
-        max(1, min(length, max_len) if max_len else length)
-        for length in lengths
-    ]
+    # int() so numpy counts (e.g. ``mask.sum(1)``) yield Python ints.
+    clip = max_len or sys.maxsize
+    effective = [max(1, min(int(length), clip)) for length in lengths]
+
+    def capacity(width: int) -> int:
+        rows = max(1, token_budget // width)
+        return rows if max_rows is None else min(rows, max_rows)
+
     order = list(range(len(lengths)))
+    cuts = []  # (end position in ``order``, microbatch width)
     if sort_by_length:
-        order.sort(key=lambda index: effective[index])
+        order.sort(key=effective.__getitem__)
+        widths = [effective[index] for index in order]
+        for end in _min_cost_cuts(widths, capacity):
+            cuts.append((end, widths[end - 1]))
+    else:
+        start = width = 0
+        for position, index in enumerate(order):
+            grown = max(width, effective[index])
+            if position > start and position - start >= capacity(grown):
+                cuts.append((position, width))
+                start, grown = position, effective[index]
+            width = grown
+        if order:
+            cuts.append((len(order), width))
 
-    microbatches: list[Microbatch] = []
-    current: list[int] = []
-    width = 0
-
-    def close() -> None:
-        nonlocal current, width
-        if current:
-            microbatches.append(Microbatch(tuple(current), width))
-            current, width = [], 0
-
-    for index in order:
-        length = effective[index]
-        grown = max(width, length)
-        if current and (
-            (len(current) + 1) * grown > token_budget
-            or (max_rows is not None and len(current) >= max_rows)
-        ):
-            close()
-            grown = length
-        current.append(index)
-        width = grown
-    close()
-
+    microbatches = []
+    start = padded = 0
+    for end, width in cuts:
+        microbatches.append(Microbatch(tuple(order[start:end]), width))
+        padded += (end - start) * width
+        start = end
     total = sum(effective)
-    padded = sum(batch.padded_tokens for batch in microbatches)
     return BatchPlan(tuple(microbatches), total, padded)
+
+
+def _min_cost_cuts(
+    widths: list[int], capacity: Callable[[int], int]
+) -> list[int]:
+    """End positions of the least-cost contiguous cuts of sorted ``widths``.
+
+    A microbatch ``[start, end)`` is padded to ``widths[end - 1]`` and may
+    hold ``capacity(widths[end - 1])`` rows; it costs ``rows * width +
+    MICROBATCH_COST_TOKENS``. Two facts keep the search small:
+
+    - Some optimal plan cuts only at the end of a run of equal widths, or
+      where a microbatch is full. Moving a row of width ``v`` back across
+      a cut inside its run adds ``v`` to the earlier microbatch and takes
+      at least ``v`` off the later one, so a cut inside a run pays off
+      only where capacity forces it — and a full microbatch from a given
+      start ends at exactly one position.
+    - A microbatch ``[start, end)`` of width ``w`` is strictly beaten by
+      splitting it at a run end ``mid`` of width ``u`` once ``(mid -
+      start) * (w - u)`` exceeds the per-call cost. Widths only grow
+      along the sorted order, so every longer microbatch from ``start``
+      is beaten too and the scan from ``start`` stops.
+
+    States are cut positions, settled in increasing order (every
+    microbatch runs forward), so each is final when popped.
+    """
+    count = len(widths)
+    if count == 0:
+        return []
+    run_ends = [
+        position
+        for position in range(1, count + 1)
+        if position == count or widths[position] != widths[position - 1]
+    ]
+    run_widths = [widths[end - 1] for end in run_ends]
+    run_caps = [capacity(width) for width in run_widths]
+    run_starts = [0] + run_ends[:-1]
+    max_width = run_widths[-1]
+
+    best: list[int | None] = [0] + [None] * count
+    previous = [0] * (count + 1)
+    frontier = [(0, 0)]  # (cut position, index of the run it starts in)
+    while frontier:
+        start, first_run = heapq.heappop(frontier)
+        if start == count:
+            break
+        base = best[start] + MICROBATCH_COST_TOKENS
+        # Widest microbatch from ``start`` that no earlier split beats.
+        limit = max_width
+        for run in range(first_run, len(run_ends)):
+            width = run_widths[run]
+            if width > limit:
+                break
+            end = run_ends[run]
+            if end - start > run_caps[run]:
+                # Capacity runs out inside this run: the one full cut.
+                end = start + run_caps[run]
+                if end <= run_starts[run]:
+                    break
+            cost = base + (end - start) * width
+            known = best[end]
+            if known is None:
+                next_run = run + 1 if end == run_ends[run] else run
+                heapq.heappush(frontier, (end, next_run))
+            if known is None or cost < known:
+                best[end] = cost
+                previous[end] = start
+            if end != run_ends[run]:
+                break
+            bound = width + MICROBATCH_COST_TOKENS // (end - start)
+            if bound < limit:
+                limit = bound
+    ends = [count]
+    while ends[-1]:
+        ends.append(previous[ends[-1]])
+    return ends[-2::-1]

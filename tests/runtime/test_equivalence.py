@@ -13,6 +13,7 @@ from repro.models.sequence_classifier import SequenceClassifier
 from repro.models.token_classifier import TokenClassifier
 from repro.nn.batching import pad_sequences
 from repro.nn.encoder import EncoderConfig
+from repro.nn.functional import softmax
 from repro.nn.module import inference_mode
 from repro.runtime.scheduler import plan_batches
 
@@ -84,6 +85,63 @@ class TestBucketedEqualsNaive:
                 outputs.append(model(ids, mask)[0, :9])
         assert np.array_equal(outputs[0], outputs[1])
         assert np.array_equal(outputs[0], outputs[2])
+
+
+class TestWidthInvarianceAtProductionGeometry:
+    """Pad widths that straddle the BLAS kernel switch at 32.
+
+    The fixtures above use ``max_len=24``, so no pad width reaches 32; a
+    context contraction shorter than 32 can round differently from a
+    longer one on some BLAS builds. These run the detector and extractor
+    geometry (``max_len=96``) at widths on both sides of that switch.
+    """
+
+    WIDTHS = (31, 32, 33, 64, 96)
+
+    def _batches(self, rng, sequence):
+        """``(ids, mask)`` holding ``sequence`` in row 0 at each width.
+
+        A filler row of exactly the pad width sits beside it, as in a
+        planned microbatch, whose width is its longest row's length.
+        """
+        yield pad_sequences([sequence], width=len(sequence))
+        for width in self.WIDTHS:
+            filler = list(rng.integers(1, 50, size=width))
+            yield pad_sequences([sequence, filler], width=width)
+
+    @pytest.mark.parametrize("length", [5, 20, 30])
+    def test_token_logits_bitwise_across_widths(self, rng, length):
+        config = EncoderConfig(
+            vocab_size=50, dim=96, num_layers=3, num_heads=4, ffn_dim=192,
+            max_len=96, dropout=0.1,
+        )
+        model = TokenClassifier(config, num_labels=9, rng=rng)
+        model.eval()
+        sequence = list(rng.integers(1, 50, size=length))
+        with inference_mode():
+            outputs = [
+                model(ids, mask)[0, :length]
+                for ids, mask in self._batches(rng, sequence)
+            ]
+        for output in outputs[1:]:
+            assert np.array_equal(outputs[0], output)
+
+    @pytest.mark.parametrize("length", [5, 20, 30])
+    def test_detector_probability_bitwise_across_widths(self, rng, length):
+        config = EncoderConfig(
+            vocab_size=50, dim=64, num_layers=2, num_heads=4, ffn_dim=128,
+            max_len=96, dropout=0.1,
+        )
+        model = SequenceClassifier(config, num_classes=2, rng=rng)
+        model.eval()
+        sequence = list(rng.integers(1, 50, size=length))
+        with inference_mode():
+            outputs = [
+                softmax(model(ids, mask), axis=-1)[0]
+                for ids, mask in self._batches(rng, sequence)
+            ]
+        for output in outputs[1:]:
+            assert np.array_equal(outputs[0], output)
 
 
 class TestInferenceModeIsPureOptimization:
