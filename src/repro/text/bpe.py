@@ -15,9 +15,10 @@ gracefully to character pieces instead of a single ``<unk>``.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 import threading
-from collections import Counter, OrderedDict
+from collections import Counter, OrderedDict, defaultdict
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
@@ -57,16 +58,6 @@ def _word_to_symbols(word: str) -> tuple[str, ...]:
     return tuple(chars)
 
 
-def _count_pairs(
-    word_symbols: dict[tuple[str, ...], int],
-) -> Counter[tuple[str, str]]:
-    pairs: Counter[tuple[str, str]] = Counter()
-    for symbols, count in word_symbols.items():
-        for left, right in zip(symbols, symbols[1:]):
-            pairs[(left, right)] += count
-    return pairs
-
-
 def _merge_symbols(
     symbols: tuple[str, ...], pair: tuple[str, str]
 ) -> tuple[str, ...]:
@@ -86,12 +77,32 @@ def _merge_symbols(
     return tuple(merged)
 
 
+class _Descending:
+    """Heap key that orders merge pairs from largest to smallest."""
+
+    __slots__ = ("pair",)
+
+    def __init__(self, pair: tuple[str, str]) -> None:
+        self.pair = pair
+
+    def __lt__(self, other: "_Descending") -> bool:
+        return self.pair > other.pair
+
+
 def train_bpe(
     words: Iterable[str],
     num_merges: int = 1000,
     min_pair_count: int = 2,
 ) -> list[tuple[str, str]]:
     """Learn a ranked list of BPE merges from a word stream.
+
+    Each step merges the most frequent adjacent pair, ties going to the
+    lexicographically largest pair. Pair counts are built once, with an
+    index from each pair to the word types containing it; a merge re-pairs
+    only the indexed words and adjusts only the counts those words lose or
+    gain, and the next pair comes off a max-heap whose entries are skipped
+    unless they match the live count. The cost per merge is therefore
+    proportional to the words the merge touches, not to the corpus.
 
     Args:
         words: corpus word stream (duplicates matter — they are counted).
@@ -102,25 +113,51 @@ def train_bpe(
         Merges in learned (priority) order.
     """
     word_counts = Counter(word for word in words if word)
-    word_symbols: dict[tuple[str, ...], int] = {
-        _word_to_symbols(word): count for word, count in word_counts.items()
-    }
+    word_symbols = [_word_to_symbols(word) for word in word_counts]
+    frequencies = list(word_counts.values())
+    pair_counts: Counter[tuple[str, str]] = Counter()
+    pair_words: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    for index, symbols in enumerate(word_symbols):
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] += frequencies[index]
+            pair_words[pair].add(index)
+    heap = [(-count, _Descending(pair)) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
+
     merges: list[tuple[str, str]] = []
-    for _ in range(num_merges):
-        pairs = _count_pairs(word_symbols)
-        if not pairs:
-            break
-        # Deterministic tie-break: highest count, then lexicographic.
-        best_pair, best_count = max(
-            pairs.items(), key=lambda item: (item[1], item[0])
-        )
-        if best_count < min_pair_count:
+    while heap and len(merges) < num_merges:
+        negated_count, key = heapq.heappop(heap)
+        best_pair = key.pair
+        if pair_counts.get(best_pair) != -negated_count:
+            continue  # stale: the pair's count changed after this push
+        if -negated_count < min_pair_count:
             break
         merges.append(best_pair)
-        word_symbols = {
-            _merge_symbols(symbols, best_pair): count
-            for symbols, count in word_symbols.items()
-        }
+        deltas: Counter[tuple[str, str]] = Counter()
+        # The index may name words that have since lost the pair; their
+        # symbols come back unchanged and are skipped.
+        for index in pair_words.pop(best_pair):
+            symbols = word_symbols[index]
+            merged = _merge_symbols(symbols, best_pair)
+            if len(merged) == len(symbols):
+                continue
+            word_symbols[index] = merged
+            frequency = frequencies[index]
+            for pair in zip(symbols, symbols[1:]):
+                deltas[pair] -= frequency
+            for pair in zip(merged, merged[1:]):
+                deltas[pair] += frequency
+                pair_words[pair].add(index)
+        for pair, delta in deltas.items():
+            if not delta:
+                continue
+            count = pair_counts[pair] + delta
+            if count:
+                pair_counts[pair] = count
+                heapq.heappush(heap, (-count, _Descending(pair)))
+            else:
+                del pair_counts[pair]
+                pair_words.pop(pair, None)
     return merges
 
 
@@ -356,24 +393,22 @@ class BpeTokenizer:
             raise ArtifactError(
                 f"tokenizer is not valid JSON ({error})", path=str(path)
             ) from error
+        merges = payload.get("merges") if isinstance(payload, dict) else None
+        vocab = payload.get("vocab") if isinstance(payload, dict) else None
         if (
-            not isinstance(payload, dict)
-            or not isinstance(payload.get("merges"), list)
-            or not isinstance(payload.get("vocab"), list)
+            not isinstance(merges, list)
+            or not isinstance(vocab, list)
+            or not all(isinstance(piece, str) for piece in vocab)
+            or not all(
+                isinstance(merge, list)
+                and len(merge) == 2
+                and all(isinstance(symbol, str) for symbol in merge)
+                for merge in merges
+            )
         ):
             raise ArtifactError(
-                "tokenizer payload must be a JSON object with "
-                "'merges' and 'vocab' lists",
+                "tokenizer payload must be a JSON object with a 'merges' "
+                "list of string pairs and a 'vocab' list of strings",
                 path=str(path),
             )
-        try:
-            merges = [
-                (str(left), str(right))
-                for left, right in payload["merges"]
-            ]
-        except (TypeError, ValueError) as error:
-            raise ArtifactError(
-                f"tokenizer merge table is malformed: {error}",
-                path=str(path),
-            ) from error
-        return cls(merges, Vocabulary(payload["vocab"]))
+        return cls(merges, Vocabulary(vocab))

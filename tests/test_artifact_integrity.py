@@ -193,6 +193,21 @@ class TestTextArtifacts:
         with pytest.raises(ArtifactError):
             BpeTokenizer.load(path)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"merges": [], "vocab": [["a"]]},
+            {"merges": [], "vocab": [1, 2]},
+            {"merges": [["ab", None]], "vocab": ["ab"]},
+        ],
+        ids=["unhashable-vocab-entry", "non-string-vocab", "null-merge-symbol"],
+    )
+    def test_bpe_rejects_non_string_entries(self, tmp_path, payload):
+        path = tmp_path / "tok.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ArtifactError):
+            BpeTokenizer.load(path)
+
     def test_bpe_missing_file(self, tmp_path):
         with pytest.raises(ArtifactError):
             BpeTokenizer.load(tmp_path / "missing.json")

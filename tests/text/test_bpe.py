@@ -1,5 +1,7 @@
 """Tests for the trainable BPE tokenizer."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from repro.text.bpe import (
     BpeTokenizer,
     END_OF_WORD,
     SubwordEncoding,
+    _merge_symbols,
     _word_to_symbols,
     train_bpe,
 )
@@ -15,6 +18,37 @@ CORPUS = (
     "reduce reduce reduce reducing reduced emissions emissions emission "
     "by by by by 2030 2030 water water use consumption consumption"
 ).split()
+
+
+def reference_train_bpe(words, num_merges=1000, min_pair_count=2):
+    """The full-recount trainer: recount every pair before every merge.
+
+    ``train_bpe`` keeps its pair statistics incrementally and must return
+    exactly this merge list.
+    """
+    word_counts = Counter(word for word in words if word)
+    word_symbols = {
+        _word_to_symbols(word): count for word, count in word_counts.items()
+    }
+    merges = []
+    for _ in range(num_merges):
+        pairs = Counter()
+        for symbols, count in word_symbols.items():
+            for left, right in zip(symbols, symbols[1:]):
+                pairs[(left, right)] += count
+        if not pairs:
+            break
+        best_pair, best_count = max(
+            pairs.items(), key=lambda item: (item[1], item[0])
+        )
+        if best_count < min_pair_count:
+            break
+        merges.append(best_pair)
+        word_symbols = {
+            _merge_symbols(symbols, best_pair): count
+            for symbols, count in word_symbols.items()
+        }
+    return merges
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +71,22 @@ class TestTrainBpe:
 
     def test_empty_corpus(self):
         assert train_bpe([], num_merges=10) == []
+
+    def test_equal_counts_merge_the_larger_pair_first(self):
+        # ("c", "d</w>") and ("a", "b</w>") both occur twice.
+        assert train_bpe(["ab", "cd", "ab", "cd"], num_merges=2) == [
+            ("c", "d</w>"),
+            ("a", "b</w>"),
+        ]
+
+    def test_overlapping_pair_in_a_run(self):
+        # "a a a a</w>": the first merge takes only the left "a a" (the
+        # right one overlaps "a a</w>"); the second settles a 3-vs-3 tie
+        # between ("aa", "a") and ("a", "a</w>") lexicographically.
+        words = ["aaaa"] * 3
+        expected = [("a", "a"), ("aa", "a"), ("aaa", "a</w>")]
+        assert train_bpe(words, num_merges=10) == expected
+        assert reference_train_bpe(words, num_merges=10) == expected
 
     def test_word_to_symbols_marks_end(self):
         assert _word_to_symbols("ab") == ("a", "b" + END_OF_WORD)
@@ -128,3 +178,35 @@ def test_word_ids_cover_all_words(words):
     tokenizer = BpeTokenizer.train(CORPUS, num_merges=60)
     encoding = tokenizer.encode(words)
     assert set(encoding.word_ids) == set(range(len(words)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    words=st.lists(
+        st.text(alphabet="ab", min_size=1, max_size=8),
+        min_size=0,
+        max_size=25,
+    ),
+    num_merges=st.integers(min_value=0, max_value=40),
+    min_pair_count=st.sampled_from([0, 1, 2, 3]),
+)
+def test_train_bpe_matches_full_recount(words, num_merges, min_pair_count):
+    """Runs, overlapping pairs and count ties are common on two letters;
+    ``num_merges`` reaches past the point where no pair is left."""
+    assert train_bpe(words, num_merges, min_pair_count) == (
+        reference_train_bpe(words, num_merges, min_pair_count)
+    )
+
+
+def test_train_bpe_matches_full_recount_at_corpus_scale():
+    """The extractor's own word stream at its own merge budget."""
+    from repro.core.extractor import ExtractorConfig, WeakSupervisionExtractor
+    from repro.datasets.sustainability import build_sustainability_goals
+
+    dataset = build_sustainability_goals(seed=0, size=150)
+    extractor = WeakSupervisionExtractor(ExtractorConfig(num_merges=600))
+    word_sequences, __ = extractor.prepare_weak_labels(dataset.objectives)
+    words = [word for sequence in word_sequences for word in sequence]
+    merges = train_bpe(words, num_merges=600)
+    assert len(merges) == 600
+    assert merges == reference_train_bpe(words, num_merges=600)
