@@ -27,7 +27,10 @@ from repro.core.schema import (
     SUSTAINABILITY_FIELDS,
     TAXONOMY_KPI_FIELDS,
 )
+from repro.nn.precision import pin_blas_threads
 from repro.tasks import Task, get_task, register_task, task_names
+
+pin_blas_threads()
 
 __version__ = "1.0.0"
 

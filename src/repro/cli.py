@@ -10,7 +10,6 @@ Subcommands cover the full lifecycle::
     repro extract --task netzero-target --model clf/ --text "Net zero by 2040."
     repro evaluate --data goals.jsonl --model model/
     repro deploy --data goals.jsonl --db objectives.db --scale 0.05
-    repro serve-bench --requests 64 --out BENCH_serving.json
     repro serve-fleet --replicas 3 --policy least-loaded --requests 48
     repro serve-fleet --replicas 2 --swap model/ --requests 48
     repro kg build --db objectives.db --out graph.json --workers auto
@@ -416,52 +415,6 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serve.loadgen import LoadLevel, run_serving_bench
-
-    levels = []
-    for spec in args.level or ["closed:1", "closed:4", "closed:16"]:
-        try:
-            mode, offered = spec.split(":", 1)
-            levels.append(
-                LoadLevel(
-                    name=f"{mode}-{offered}",
-                    mode=mode,
-                    offered=float(offered),
-                    num_requests=args.requests,
-                )
-            )
-        except ValueError as error:
-            print(f"error: bad --level {spec!r}: {error}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-    print(
-        f"serving bench: {len(levels)} level(s) x 2 modes "
-        f"(micro-batching vs. batch-size-1), {args.requests} requests/level"
-    )
-    report = run_serving_bench(
-        levels,
-        seed=args.seed,
-        num_workers=args.workers,
-        max_batch_requests=args.max_batch_requests,
-        max_wait_ms=args.max_wait_ms,
-        kind=args.kind,
-    )
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    comparison = report["comparison"]
-    print(
-        f"[{comparison['level']}] micro-batch "
-        f"{comparison['microbatch_throughput_rps']:.1f} rps "
-        f"(p95 {comparison['microbatch_p95_seconds'] * 1000:.1f} ms) vs. "
-        f"batch-1 {comparison['batch1_throughput_rps']:.1f} rps "
-        f"(p95 {comparison['batch1_p95_seconds'] * 1000:.1f} ms) — "
-        f"{comparison['throughput_speedup']:.2f}x throughput"
-    )
-    print(f"wrote {args.out}")
-    return 0
-
-
 def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     import threading
     import time
@@ -501,8 +454,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     texts = build_request_texts(args.seed + 1, max(args.requests, 8))
     level = LoadLevel(
         name=f"closed-{args.concurrency}",
-        mode="closed",
-        offered=float(args.concurrency),
+        concurrency=args.concurrency,
         num_requests=args.requests,
     )
     print(
@@ -525,9 +477,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
 
             swapper = threading.Thread(target=_swap_later, daemon=True)
             swapper.start()
-        load_report = run_load_level(
-            router, texts, level, kind=args.kind, seed=args.seed
-        )
+        load_report = run_load_level(router, texts, level, kind=args.kind)
         if swapper is not None:
             swapper.join(timeout=120.0)
         snapshot = router.metrics_snapshot()
@@ -899,33 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
         "one per CPU core); records are bitwise-identical to --workers 1",
     )
     deploy.set_defaults(func=_cmd_deploy)
-
-    serve = sub.add_parser(
-        "serve-bench",
-        help="benchmark the online serving engine (micro-batch vs. batch-1)",
-    )
-    serve.add_argument(
-        "--level",
-        action="append",
-        metavar="MODE:OFFERED",
-        help="offered-load level, e.g. closed:8 (8 concurrent clients) or "
-        "open:200 (200 req/s Poisson arrivals); repeatable "
-        "(default closed:1 closed:4 closed:16)",
-    )
-    serve.add_argument("--requests", type=int, default=64,
-                       help="requests per level (default 64)")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="engine worker threads (default 2)")
-    serve.add_argument("--max-batch-requests", type=int, default=8,
-                       help="micro-batch row bound (default 8)")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="micro-batch coalescing window (default 2 ms)")
-    serve.add_argument("--kind", choices=["extract", "detect"],
-                       default="extract", help="which stage to serve")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--out", default="BENCH_serving.json",
-                       help="report path (default BENCH_serving.json)")
-    serve.set_defaults(func=_cmd_serve_bench)
 
     from repro.serve.router import ROUTING_POLICIES
 

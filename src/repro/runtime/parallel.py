@@ -45,6 +45,7 @@ from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.nn.module import Module
+from repro.nn.precision import pin_blas_threads
 from repro.nn.serialize import state_from_bytes, state_to_bytes
 from repro.runtime.resilience import (
     FaultSpec,
@@ -290,12 +291,24 @@ def restore_pipeline(broadcast: PipelineBroadcast) -> Any:
 # -- worker pools -------------------------------------------------------------
 
 
+def _pinned_initializer(initializer: Any, *initargs: Any) -> None:
+    """Pin BLAS in a spawned worker, then run the pool's own initializer."""
+    pin_blas_threads()
+    if initializer is not None:
+        initializer(*initargs)
+
+
 def _open_pool(processes: int, initializer: Any = None, initargs: tuple = ()):
-    """The runtime's one process-pool constructor (fork where available)."""
+    """The runtime's one process-pool constructor (fork where available).
+
+    Forked workers inherit the parent's BLAS thread pin; spawned ones
+    start a fresh OpenBLAS and are pinned again before any work.
+    """
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # no fork on this platform
         context = multiprocessing.get_context("spawn")
+        initializer, initargs = _pinned_initializer, (initializer, *initargs)
     return context.Pool(
         processes=processes, initializer=initializer, initargs=initargs
     )

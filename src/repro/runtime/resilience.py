@@ -244,7 +244,8 @@ class FaultInjector:
     before anything reaches the WAL) and ``journal_publish`` (between
     the journal append and its fsync — the torn-tail window).
 
-    Fleet-level sites (checked by :class:`repro.serve.FleetRouter`):
+    Fleet-level sites (checked by :class:`repro.serve.FleetRouter`)
+    exercise its two jobs, failover and blue-green model swap:
     ``replica_crash`` (at dispatch — the selected replica dies mid-flight
     and its in-flight work must fail over), ``replica_stall`` (the
     selected replica stops making progress and takes a health strike

@@ -18,23 +18,18 @@ serve under a latency budget". It layers a request-level
 * SLO metrics: p50/p95/p99 latency histograms, queue-wait vs. compute
   split, throughput and rejection counts via ``metrics_snapshot()``.
 
-Above the single engine sits the fleet tier (:mod:`repro.serve.fleet`):
-a :class:`FleetRouter` replicating the engine N ways behind pluggable
-routing policies, with per-replica health ejection, at-least-once
-failover when a replica dies mid-flight, blue-green model hot-swap
-(:meth:`FleetRouter.swap_model`), and an SLO-driven
-:class:`FleetAutoscaler` / offline :class:`FleetSimulator`.
+One engine is the unit of scale: it serves with ``num_workers`` threads
+over one shared model. Above it sits the fleet tier
+(:mod:`repro.serve.fleet`), a :class:`FleetRouter` over N engine
+replicas for availability, not capacity: per-replica health ejection,
+at-least-once failover when a replica dies mid-flight, and blue-green
+model hot-swap (:meth:`FleetRouter.swap_model`).
 
 See DESIGN.md section "Online serving" and the README "Serving" and
 "Fleet serving" sections.
 """
 
 from repro.serve.admission import PRIORITIES, AdmissionController
-from repro.serve.autoscale import (
-    AutoscalePolicy,
-    FleetAutoscaler,
-    FleetSimulator,
-)
 from repro.serve.engine import (
     KIND_DETECT,
     KIND_EXTRACT,
@@ -57,7 +52,6 @@ from repro.serve.loadgen import (
     build_request_texts,
     build_swappable_extractor,
     run_load_level,
-    run_serving_bench,
 )
 from repro.serve.metrics import (
     LatencyHistogram,
@@ -77,11 +71,8 @@ from repro.serve.router import (
 
 __all__ = [
     "AdmissionController",
-    "AutoscalePolicy",
-    "FleetAutoscaler",
     "FleetConfig",
     "FleetRouter",
-    "FleetSimulator",
     "KIND_DETECT",
     "KIND_EXTRACT",
     "LatencyHistogram",
@@ -109,5 +100,4 @@ __all__ = [
     "make_policy",
     "merge_counters",
     "run_load_level",
-    "run_serving_bench",
 ]

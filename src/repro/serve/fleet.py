@@ -1,9 +1,12 @@
-"""Fleet-scale serving: a replicated router with failover and hot-swap.
+"""Fleet serving: a replicated router with failover and hot-swap.
 
 :class:`FleetRouter` composes N :class:`~repro.serve.engine.ServingEngine`
 replicas behind one ``submit() -> Future`` front door (same signature and
 shedding semantics as a single engine, so the load generator and CLI
-drive either interchangeably):
+drive either interchangeably). Replicas are a unit of failure and of
+model generation, not of capacity: in-process replicas share one model
+and one GIL, so throughput scales with the engine's worker threads, not
+with the replica count. The fleet's jobs are:
 
 * **routing** — a pluggable :class:`~repro.serve.router.RoutingPolicy`
   (round-robin, least-loaded, token-cost-aware) picks among replicas
@@ -42,7 +45,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import Future
 from pathlib import Path
@@ -80,7 +82,8 @@ class FleetConfig:
     """Fleet tuning knobs.
 
     Attributes:
-        replicas: initial replica count.
+        replicas: replicas to start with; a hot-swap rebuilds as many
+            as are live at the time.
         policy: routing policy name (see
             :data:`repro.serve.router.ROUTING_POLICIES`).
         engine: per-replica :class:`ServingConfig`.
@@ -90,8 +93,8 @@ class FleetConfig:
             re-admitted on probation.
         max_redispatch: failover re-dispatch attempts per request before
             the router gives up and fails the request.
-        drain_timeout: seconds to wait for an old generation (or a
-            scaled-down replica) to finish its in-flight work.
+        drain_timeout: seconds to wait for an old generation to finish
+            its in-flight work.
         probe_texts: default probe inputs for the hot-swap equivalence
             gate (empty = gate records ``skipped`` unless the caller
             passes probes).
@@ -302,13 +305,11 @@ class FleetRouter:
         )
         self._replicas: list[Replica] = []
         self._graveyard: list[Replica] = []  # crashed replicas
-        self._retired: list[Replica] = []  # drained out (swap / scale-down)
+        self._retired: list[Replica] = []  # drained out by a swap
         self._next_replica = 0
         self._started = False
         self._stopped = False
         self._swap_lock = threading.Lock()
-        #: Queue-wait samples since the autoscaler last looked (bounded).
-        self._recent_queue_waits: deque[float] = deque(maxlen=8192)
         for _ in range(self.config.replicas):
             self._replicas.append(self._build_replica(self._generation))
 
@@ -390,16 +391,6 @@ class FleetRouter:
         with self._lock:
             return [replica.replica_id for replica in self._replicas]
 
-    def replica_count(self) -> int:
-        with self._lock:
-            return len(self._replicas)
-
-    def pending(self) -> int:
-        """Requests dispatched (or queued) and not yet resolved, fleet-wide."""
-        with self._lock:
-            replicas = list(self._replicas)
-        return sum(replica.load() for replica in replicas)
-
     def health_states(self) -> dict[str, str]:
         """Every replica the fleet has ever run, by current health state."""
         with self._lock:
@@ -413,20 +404,6 @@ class FleetRouter:
             )
             for replica in replicas
         }
-
-    def drain_recent_queue_waits(self) -> list[float]:
-        """Consume the queue-wait samples observed since the last call.
-
-        The autoscaler's per-tick SLO window: unlike the lifetime
-        histograms in :attr:`metrics`, these reflect only the traffic
-        since the previous tick.
-        """
-        samples: list[float] = []
-        while True:
-            try:
-                samples.append(self._recent_queue_waits.popleft())
-            except IndexError:
-                return samples
 
     # -- submission ----------------------------------------------------------
 
@@ -596,7 +573,6 @@ class FleetRouter:
             self.metrics.observe(
                 "fleet.queue_wait", result.queue_wait_seconds
             )
-            self._recent_queue_waits.append(result.queue_wait_seconds)
             routed.set_result(result)
             return
         # Replica death (crash error, or any failure surfaced by a dead /
@@ -659,52 +635,6 @@ class FleetRouter:
             daemon=True,
         ).start()
         return True
-
-    # -- scaling -------------------------------------------------------------
-
-    def scale_to(self, target: int) -> int:
-        """Grow or shrink the live replica set to ``target`` replicas.
-
-        Scale-up replicas join the current generation immediately;
-        scale-down retires the most recently added replicas by draining
-        them off-thread (their accepted work completes — scaling never
-        loses a request). Returns the new live count.
-        """
-        if target < 1:
-            raise ValueError("a fleet needs at least one replica")
-        with self._swap_lock:
-            added: list[Replica] = []
-            victims: list[Replica] = []
-            with self._lock:
-                if self._stopped:
-                    raise RuntimeError("cannot scale a stopped fleet")
-                while len(self._replicas) < target:
-                    replica = self._build_replica(self._generation)
-                    self._replicas.append(replica)
-                    added.append(replica)
-                if len(self._replicas) > target:
-                    keep = len(self._replicas) - target
-                    self._replicas.sort(key=lambda r: r.replica_id)
-                    victims = self._replicas[-keep:]
-                    del self._replicas[-keep:]
-                    self._retired.extend(victims)
-                live = len(self._replicas)
-            for replica in added:
-                self.metrics.count("scaled_up")
-                if self._started:
-                    replica.engine.start()
-            for replica in victims:
-                self.metrics.count("scaled_down")
-                threading.Thread(
-                    target=replica.engine.shutdown,
-                    kwargs={
-                        "drain": True,
-                        "timeout": self.config.drain_timeout,
-                    },
-                    name=f"repro-fleet-drain-{replica.replica_id}",
-                    daemon=True,
-                ).start()
-            return live
 
     # -- blue-green hot-swap -------------------------------------------------
 

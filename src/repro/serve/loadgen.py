@@ -1,21 +1,18 @@
-"""Closed- and open-loop load generation for the serving engine.
+"""Closed-loop load generation and demo backends for the serving tier.
 
-Drives a :class:`~repro.serve.engine.ServingEngine` with a seeded,
-deterministic request schedule and reports client-observed latency
-percentiles and throughput per offered-load level:
-
-* **closed loop** — ``concurrency`` synthetic clients submit back-to-back
-  (each waits for its result before sending the next request), the classic
-  saturation-throughput measurement;
-* **open loop** — requests arrive on a pre-computed seeded Poisson
-  schedule regardless of completions, which is what exposes queueing and
-  load shedding at offered loads beyond capacity.
+:func:`run_load_level` drives a :class:`~repro.serve.engine.ServingEngine`
+(or a :class:`~repro.serve.fleet.FleetRouter`, which shares its submit
+contract) with ``concurrency`` synthetic clients that submit back-to-back
+(each waits for its result before sending the next request), and reports
+client-observed latency percentiles and throughput. Open-loop serving
+measurements live in ``perfbench/loadgen.py``, which times each request
+from its due time rather than from admission.
 
 Also provides :func:`build_demo_backend`: a deterministic, *untrained*
 detector + extractor pair (real tokenizers, real transformer forward
-passes, seeded random weights) so the serving bench and the CLI
-``serve-bench`` subcommand measure the true compute path without minutes
-of fine-tuning first.
+passes, seeded random weights) so the CLI ``serve-fleet`` subcommand and
+the serving tests run the true compute path without minutes of
+fine-tuning first.
 """
 
 from __future__ import annotations
@@ -28,30 +25,21 @@ from concurrent.futures import Future
 import numpy as np
 
 from repro.runtime.errors import OverloadedError
-from repro.serve.engine import ServingEngine, ServingConfig
-
-#: Schema version stamped into serving bench reports.
-REPORT_SCHEMA_VERSION = 1
+from repro.serve.engine import ServingEngine
+from repro.serve.metrics import SLO_QUANTILES, nearest_rank
 
 
 @dataclasses.dataclass(frozen=True)
 class LoadLevel:
-    """One offered-load level of the bench.
-
-    ``mode="closed"`` interprets ``offered`` as client concurrency;
-    ``mode="open"`` interprets it as the arrival rate in requests/second.
-    """
+    """``concurrency`` closed-loop clients sending ``num_requests`` in all."""
 
     name: str
-    mode: str  # "closed" | "open"
-    offered: float
+    concurrency: int
     num_requests: int
 
     def __post_init__(self) -> None:
-        if self.mode not in ("closed", "open"):
-            raise ValueError("mode must be 'closed' or 'open'")
-        if self.offered <= 0 or self.num_requests <= 0:
-            raise ValueError("offered and num_requests must be positive")
+        if self.concurrency <= 0 or self.num_requests <= 0:
+            raise ValueError("concurrency and num_requests must be positive")
 
 
 def build_demo_backend(seed: int = 0, num_objectives: int = 64):
@@ -175,19 +163,14 @@ def _latency_summary(latencies: list[float]) -> dict[str, float]:
             "p50": 0.0, "p95": 0.0, "p99": 0.0,
         }
     ordered = sorted(latencies)
-
-    def rank(q: float) -> float:
-        index = min(len(ordered) - 1, max(0, int(round(q * len(ordered))) - 1))
-        return ordered[index]
-
-    return {
+    summary = {
         "count": len(ordered),
         "mean_seconds": sum(ordered) / len(ordered),
         "max_seconds": ordered[-1],
-        "p50": rank(0.50),
-        "p95": rank(0.95),
-        "p99": rank(0.99),
     }
+    for name, q in SLO_QUANTILES:
+        summary[name] = nearest_rank(ordered, q)
+    return summary
 
 
 def _run_closed_loop(
@@ -236,59 +219,17 @@ def _run_closed_loop(
     return futures, elapsed, rejected[0]
 
 
-def _run_open_loop(
-    engine: ServingEngine,
-    texts: list[str],
-    rate: float,
-    num_requests: int,
-    kind: str,
-    seed: int,
-) -> tuple[list[Future], float, int]:
-    # Pre-computed seeded Poisson arrival schedule: the offered load is a
-    # pure function of (seed, rate, num_requests), not of the engine.
-    rng = np.random.default_rng([seed & 0x7FFFFFFF, int(rate * 1000)])
-    gaps = rng.exponential(1.0 / rate, size=num_requests)
-    arrivals = np.cumsum(gaps)
-    futures: list[Future] = []
-    rejected = 0
-    started = time.perf_counter()
-    for index in range(num_requests):
-        now = time.perf_counter() - started
-        delay = arrivals[index] - now
-        if delay > 0:
-            time.sleep(delay)
-        try:
-            futures.append(
-                engine.submit(kind=kind, texts=texts[index % len(texts)])
-            )
-        except OverloadedError:
-            rejected += 1
-    for future in futures:
-        try:
-            future.result(timeout=60.0)
-        except Exception:
-            pass  # failures are counted from the engine metrics
-    elapsed = time.perf_counter() - started
-    return futures, elapsed, rejected
-
-
 def run_load_level(
     engine: ServingEngine,
     texts: list[str],
     level: LoadLevel,
     *,
     kind: str = "extract",
-    seed: int = 0,
 ) -> dict:
-    """Drive one offered-load level and summarize what the clients saw."""
-    if level.mode == "closed":
-        futures, elapsed, rejected = _run_closed_loop(
-            engine, texts, int(level.offered), level.num_requests, kind
-        )
-    else:
-        futures, elapsed, rejected = _run_open_loop(
-            engine, texts, level.offered, level.num_requests, kind, seed
-        )
+    """Drive one closed-loop level and summarize what the clients saw."""
+    futures, elapsed, rejected = _run_closed_loop(
+        engine, texts, level.concurrency, level.num_requests, kind
+    )
     latencies: list[float] = []
     queue_waits: list[float] = []
     computes: list[float] = []
@@ -307,8 +248,7 @@ def run_load_level(
     completed = len(latencies)
     return {
         "level": level.name,
-        "mode": level.mode,
-        "offered": level.offered,
+        "concurrency": level.concurrency,
         "requests": level.num_requests,
         "completed": completed,
         "rejected": rejected,
@@ -321,100 +261,4 @@ def run_load_level(
         "mean_batch_rows": (
             sum(batch_rows) / len(batch_rows) if batch_rows else 0.0
         ),
-    }
-
-
-def run_serving_bench(
-    levels: list[LoadLevel],
-    *,
-    seed: int = 0,
-    num_texts: int = 96,
-    num_workers: int = 2,
-    max_batch_requests: int = 8,
-    max_batch_tokens: int = 1024,
-    max_wait_ms: float = 2.0,
-    queue_depth: int = 256,
-    kind: str = "extract",
-) -> dict:
-    """The full serving benchmark: micro-batching vs. batch-size-1.
-
-    Every level runs twice over the same deterministic backend and request
-    stream — once with the dynamic micro-batcher, once with
-    ``max_batch_requests=1`` (request-at-a-time serving) — and the report
-    compares throughput and p95 latency at the heaviest level.
-    """
-    detector, extractor = build_demo_backend(seed=seed)
-    texts = build_request_texts(seed + 1, num_texts)
-    # Warm the BPE/normalize caches and numpy dispatch once, up front:
-    # steady-state serving is cache-hot, and warming here keeps the first
-    # measured mode from paying the cold-start bill for both.
-    if kind == "detect":
-        detector.predict_proba(texts)
-    else:
-        extractor.extract_batch(texts)
-    mode_configs = {
-        "microbatch": ServingConfig(
-            num_workers=num_workers,
-            max_batch_requests=max_batch_requests,
-            max_batch_tokens=max_batch_tokens,
-            max_wait_ms=max_wait_ms,
-            queue_depth=queue_depth,
-        ),
-        "batch1": ServingConfig(
-            num_workers=num_workers,
-            max_batch_requests=1,
-            max_batch_tokens=max_batch_tokens,
-            max_wait_ms=max_wait_ms,
-            queue_depth=queue_depth,
-        ),
-    }
-    level_reports = []
-    for level in levels:
-        modes = {}
-        for mode_name, config in mode_configs.items():
-            with ServingEngine(
-                detector=detector, extractor=extractor, config=config
-            ) as engine:
-                modes[mode_name] = run_load_level(
-                    engine, texts, level, kind=kind, seed=seed
-                )
-                modes[mode_name]["engine_metrics"] = engine.metrics_snapshot()
-        level_reports.append(
-            {"level": level.name, "offered": level.offered,
-             "mode": level.mode, "modes": modes}
-        )
-
-    heaviest = level_reports[-1]["modes"]
-    micro, single = heaviest["microbatch"], heaviest["batch1"]
-    comparison = {
-        "level": level_reports[-1]["level"],
-        "microbatch_throughput_rps": micro["throughput_rps"],
-        "batch1_throughput_rps": single["throughput_rps"],
-        "throughput_speedup": (
-            micro["throughput_rps"] / single["throughput_rps"]
-            if single["throughput_rps"] > 0
-            else 0.0
-        ),
-        "microbatch_p95_seconds": micro["latency"]["p95"],
-        "batch1_p95_seconds": single["latency"]["p95"],
-        "microbatch_wins": (
-            micro["throughput_rps"] > single["throughput_rps"]
-            and micro["latency"]["p95"] <= single["latency"]["p95"] * 1.05
-        ),
-    }
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "config": {
-            "seed": seed,
-            "num_texts": num_texts,
-            "num_workers": num_workers,
-            "max_batch_requests": max_batch_requests,
-            "max_batch_tokens": max_batch_tokens,
-            "max_wait_ms": max_wait_ms,
-            "queue_depth": queue_depth,
-            "kind": kind,
-            "levels": [dataclasses.asdict(level) for level in levels],
-        },
-        "levels": level_reports,
-        "comparison": comparison,
     }

@@ -12,13 +12,28 @@ to touch from many worker threads at once.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
+from collections.abc import Sequence
 
 from repro.runtime.profiling import PerfCounters
 
 #: Quantiles every histogram snapshot reports.
 SLO_QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """The nearest-rank ``q`` quantile of ascending ``ordered`` (0 if empty).
+
+    That is the ``ceil(q * n)``-th smallest sample (the smallest for
+    ``q == 0``). ``q * n`` is rounded to 9 places first, because float
+    products such as ``0.07 * 100`` land an ulp above the integer.
+    """
+    if not ordered:
+        return 0.0
+    rank = math.ceil(round(q * len(ordered), 9))
+    return ordered[min(len(ordered), max(1, rank)) - 1]
 
 
 class LatencyHistogram:
@@ -64,12 +79,7 @@ class LatencyHistogram:
             raise ValueError("quantile must be in [0, 1]")
         with self._lock:
             ordered = sorted(self._samples)
-        if not ordered:
-            return 0.0
-        rank = min(len(ordered) - 1, max(0, int(round(q * len(ordered))) - 1))
-        if q <= 0.0:
-            rank = 0
-        return ordered[rank]
+        return nearest_rank(ordered, q)
 
     def snapshot(self) -> dict[str, float]:
         """JSON-ready summary: count, mean, max, and the SLO quantiles."""
@@ -84,13 +94,7 @@ class LatencyHistogram:
             "max_seconds": peak,
         }
         for name, q in SLO_QUANTILES:
-            if not ordered:
-                summary[name] = 0.0
-                continue
-            rank = min(
-                len(ordered) - 1, max(0, int(round(q * len(ordered))) - 1)
-            )
-            summary[name] = ordered[rank]
+            summary[name] = nearest_rank(ordered, q)
         return summary
 
 

@@ -258,26 +258,6 @@ class TestFleetBasics:
         assert counters["failover.exhausted"] == 1
         assert counters["failover.redispatched"] == 2
 
-    def test_scale_up_and_down(self, recording_extractor):
-        router = make_fleet(recording_extractor, replicas=1)
-        with router:
-            assert router.scale_to(3) == 3
-            futures = [
-                router.submit(kind="extract", texts=f"request {i}")
-                for i in range(6)
-            ]
-            for future in futures:
-                assert future.result(timeout=10.0).status == "ok"
-            assert router.scale_to(1) == 1
-            assert len(router.live_replicas()) == 1
-            late = router.submit(kind="extract", texts="after scale-down")
-            assert late.result(timeout=10.0).status == "ok"
-        counters = router.metrics_snapshot()["router"]["counters"]
-        assert counters["scaled_up"] == 2
-        assert counters["scaled_down"] == 2
-        with pytest.raises(ValueError):
-            router.scale_to(0)
-
 
 class TestFleetCacheAggregation:
     def test_fleet_wide_cache_stats_merge_replica_stores(self, demo_backend):

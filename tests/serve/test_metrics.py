@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.runtime.profiling import PerfCounters, RunStats
+from repro.serve.loadgen import _latency_summary
 from repro.serve.metrics import LatencyHistogram, SloMetrics
 
 pytestmark = pytest.mark.serve
@@ -28,6 +29,23 @@ class TestLatencyHistogram:
         assert snapshot["p99"] == pytest.approx(0.099)
         assert snapshot["max_seconds"] == pytest.approx(0.100)
         assert snapshot["mean_seconds"] == pytest.approx(0.0505)
+
+    @pytest.mark.parametrize(
+        "count, name, q, expected",
+        [(5, "p50", 0.50, 3.0), (30, "p95", 0.95, 29.0)],
+    )
+    def test_nearest_rank_takes_the_ceiling_rank(
+        self, count, name, q, expected
+    ):
+        # ceil(q * n): rank 3 of 5 for p50 and rank 29 of 30 for p95,
+        # where round-half-to-even would pick ranks 2 and 28.
+        samples = [float(value) for value in range(1, count + 1)]
+        hist = LatencyHistogram()
+        for value in samples:
+            hist.observe(value)
+        assert hist.quantile(q) == expected
+        assert hist.snapshot()[name] == expected
+        assert _latency_summary(samples)[name] == expected
 
     def test_ring_buffer_keeps_exact_totals(self):
         hist = LatencyHistogram(max_samples=8)

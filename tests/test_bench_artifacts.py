@@ -94,57 +94,6 @@ class TestThroughputArtifact:
         assert extractor["bucketed"]["result_cache_hits"] == 0
 
 
-@pytest.mark.serve
-@pytest.mark.fleet
-class TestFleetArtifact:
-    def test_schema(self):
-        report = load_artifact("BENCH_fleet.json")
-        assert report["schema_version"] == 1
-        assert set(report) >= {"schema_version", "config", "sweep", "scaling", "chaos"}
-        config = report["config"]
-        assert config["replica_sweep"] == [1, 2, 4]
-        assert config["offered_rps"] > 0
-        for cell in report["sweep"]:
-            assert set(cell) >= {
-                "replicas",
-                "offered_rps",
-                "completed",
-                "rejected",
-                "failed",
-                "completed_rps",
-                "client_p99_seconds",
-            }
-        scaling = report["scaling"]
-        assert set(scaling) >= {
-            "completed_rps_by_replicas",
-            "monotonic",
-            "p99_bound_seconds",
-            "max_p99_seconds",
-            "p99_within_bound",
-        }
-        assert set(scaling["completed_rps_by_replicas"]) == {"1", "2", "4"}
-
-    def test_headline_claims_hold(self):
-        """Completed-rps scales monotonically 1->2->4 replicas with p99
-        bounded, and the in-bench chaos kill lost nothing — the
-        committed evidence behind the README fleet section."""
-        report = load_artifact("BENCH_fleet.json")
-        scaling = report["scaling"]
-        assert scaling["monotonic"] is True
-        rates = scaling["completed_rps_by_replicas"]
-        assert rates["1"] < rates["2"] < rates["4"]
-        assert scaling["max_p99_seconds"] < scaling["p99_bound_seconds"]
-        chaos = report["chaos"]
-        assert chaos["replicas_killed"] == 1
-        assert chaos["failed"] == 0
-        assert chaos["zero_lost"] is True
-        assert chaos["bitwise_identical"] is True
-        assert chaos["completed"] == chaos["accepted"]
-        # The health map records exactly one dead replica.
-        states = sorted(chaos["health"].values())
-        assert states.count("dead") == 1
-
-
 @pytest.mark.kg
 class TestKgArtifact:
     def test_schema(self):

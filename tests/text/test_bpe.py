@@ -1,5 +1,7 @@
 """Tests for the trainable BPE tokenizer."""
 
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -145,6 +147,63 @@ class TestBpeTokenizer:
         first = tokenizer.encode_word("consumption")
         second = tokenizer.encode_word("consumption")
         assert first == second
+
+
+class TestConcurrentEncode:
+    """Serving engine threads share one tokenizer and its LRU memo."""
+
+    THREADS = 8
+    ROUNDS = 10
+
+    def test_shared_tokenizer_matches_sequential_under_eviction(self):
+        from repro.datasets.generator import ObjectiveGenerator
+
+        objectives = ObjectiveGenerator(seed=0).generate_many(20)
+        words = [
+            word for objective in objectives for word in objective.text.split()
+        ]
+        trained = BpeTokenizer.train(words, num_merges=200)
+        expected = trained.encode(words).ids
+        # A memo far smaller than the word list evicts on nearly every miss.
+        shared = BpeTokenizer(trained.merges, trained.vocab, cache_size=8)
+        assert len(set(words)) > 4 * shared.cache_size
+        barrier = threading.Barrier(self.THREADS)
+        results: list[list[tuple[int, ...]]] = [
+            [] for _ in range(self.THREADS)
+        ]
+        errors: list[BaseException] = []
+
+        def worker(index: int) -> None:
+            try:
+                barrier.wait()
+                for _ in range(self.ROUNDS):
+                    results[index].append(shared.encode(words).ids)
+            except BaseException as error:  # surfaced by the assert below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=worker, args=(index,))
+            for index in range(self.THREADS)
+        ]
+        # Switch threads as often as possible so a lost counter update or
+        # a torn LRU reorder has many chances to show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        for per_thread in results:
+            assert per_thread == [expected] * self.ROUNDS
+        info = shared.cache_info()
+        lookups = self.THREADS * self.ROUNDS * len(words)
+        assert info["hits"] + info["misses"] == lookups
+        assert info["size"] <= shared.cache_size
 
 
 @settings(max_examples=50, deadline=None)
