@@ -40,7 +40,11 @@ from repro.datasets.taxonomy_kpi import build_taxonomy_kpi
 from repro.eval import evaluate_extractions, render_table
 from repro.models.training import FineTuneConfig
 from repro.runtime.errors import InputError, ReproError, RunInterrupted
-from repro.runtime.resilience import MAX_BLOCK_CHARS, RetryPolicy, run_stage
+from repro.runtime.resilience import (
+    MAX_BLOCK_CHARS,
+    ON_ERROR_POLICIES,
+    RetryPolicy,
+)
 
 #: Exit codes of ``repro extract`` / ``repro train`` (see DESIGN.md
 #: "Failure model"): 0 = success (possibly partial, with a warning on
@@ -266,12 +270,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                     resume=args.resume,
                     segment_items=args.journal_segment,
                     on_error=args.on_error,
+                    policy=policy,
                     drain_event=shutdown.event,
                 )
-        elif task.kind == "extraction":
-            results = _extract_resilient(
-                extractor, texts, args.on_error, policy, workers=args.workers
-            )
         else:
             results = model.run_resilient(
                 texts,
@@ -311,52 +312,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 0
-
-
-def _extract_resilient(
-    extractor: WeakSupervisionExtractor,
-    texts: list[str],
-    on_error: str,
-    policy: RetryPolicy,
-    workers: int | str | None = 1,
-) -> list[tuple[dict[str, str], str]]:
-    """Batch-extract with per-text fault isolation.
-
-    Mirrors the pipeline runtime: one optimistic batched call (sharded
-    over worker processes when ``workers`` > 1 — bitwise-identical
-    results either way); if it raises and the policy is not ``"raise"``,
-    fall back to sequential per-text calls where each failure is skipped
-    or degraded to empty details.
-    """
-    from repro.runtime.parallel import extract_batch_parallel, resolve_workers
-
-    def batch() -> list[dict[str, str]]:
-        if resolve_workers(workers) > 1 and len(texts) > 1:
-            return extract_batch_parallel(extractor, texts, workers=workers)
-        return extractor.extract_batch(texts)
-
-    try:
-        details_list = run_stage(batch, stage="extract", policy=policy)
-        return [(details, "ok") for details in details_list]
-    except ReproError:
-        if on_error == "raise":
-            raise
-    empty = {field: "" for field in extractor.config.fields}
-    results: list[tuple[dict[str, str], str]] = []
-    for text in texts:
-        try:
-            details = run_stage(
-                lambda t=text: extractor.extract(t),
-                stage="extract",
-                policy=policy,
-            )
-            results.append((details, "ok"))
-        except ReproError:
-            if on_error == "skip":
-                results.append((dict(empty), "skipped"))
-            else:
-                results.append((dict(empty), "failed"))
-    return results
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -785,17 +740,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     extract.add_argument(
         "--on-error",
-        choices=["raise", "skip", "degrade"],
+        choices=ON_ERROR_POLICIES,
         default="raise",
         help="failure policy: abort (exit 2/3), skip failed inputs, or "
-        "degrade them to empty flagged details (partial success exits 0 "
-        "with a warning on stderr)",
+        "degrade them to empty details with status 'degraded' (partial "
+        "success exits 0 with a warning on stderr)",
     )
     extract.add_argument(
         "--max-retries",
         type=int,
         default=0,
-        help="retry attempts per extraction stage (seeded backoff)",
+        help="retry attempts per batch and per-text call, with or "
+        "without --run-dir (seeded backoff)",
     )
     extract.add_argument(
         "--workers",

@@ -37,6 +37,7 @@ from repro.nn.module import numeric_guard
 from repro.runtime.errors import InputError, ReproError
 from repro.runtime.profiling import PerfCounters
 from repro.runtime.resilience import (
+    ON_ERROR_POLICIES,
     CircuitBreaker,
     FaultInjector,
     QuarantineQueue,
@@ -45,9 +46,6 @@ from repro.runtime.resilience import (
     sanitize_report,
     validate_report,
 )
-
-#: Valid ``on_error`` policies.
-ON_ERROR_POLICIES = ("raise", "skip", "degrade")
 
 #: ``ExtractedRecord.status`` values, in degradation-ladder order.
 STATUS_OK = "ok"  # transformer extraction succeeded

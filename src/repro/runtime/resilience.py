@@ -49,6 +49,11 @@ def _stage_rng(seed: int, stage: str) -> np.random.Generator:
     return np.random.default_rng([seed & 0x7FFFFFFF, *stage.encode("utf-8")])
 
 
+#: Valid ``on_error`` policies, shared by every corpus path: abort the
+#: run, drop a failed input, or stand an empty result in for it.
+ON_ERROR_POLICIES = ("raise", "skip", "degrade")
+
+
 # -- retry policy -----------------------------------------------------------
 
 

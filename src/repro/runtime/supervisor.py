@@ -29,11 +29,13 @@ under leases and enforces the failure model batch runs never had:
 
 Run drivers: :func:`_run_corpus` (non-journaled, one shard per worker by
 default; behind :mod:`repro.runtime.parallel`'s entry points and
-``TaskModel.run_batch_parallel``), :func:`run_durable_rows` (journaled bulk text→row inference for any
+``TaskModel.run_batch_parallel``/``run_resilient``),
+:func:`run_durable_rows` (journaled bulk text→row inference for any
 registered task, extraction or classification) and
 :func:`run_durable_reports` (the journaled GoalSpotter corpus path, with
 quarantine entries persisted into the journal so poison documents are
-not retried on resume).
+not retried on resume). Rows kinds take one degradation ladder,
+:func:`_rows_segment`, on every path.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.runtime.checkpoint import config_fingerprint
 from repro.runtime.errors import (
+    InputError,
     ReproError,
     RunInterrupted,
     StageTimeout,
@@ -68,8 +71,10 @@ from repro.runtime.parallel import (
     shard_seed,
 )
 from repro.runtime.resilience import (
+    ON_ERROR_POLICIES,
     FaultInjector,
     FaultSpec,
+    QuarantineEntry,
     QuarantineQueue,
     RetryPolicy,
     run_stage,
@@ -168,6 +173,7 @@ class SegmentWork:
     fields: tuple[str, ...]  # empty-row schema for skip/degrade
     specs: tuple[FaultSpec, ...] = ()  # host-level fault specs
     seed: int = 0  # per-segment injector seed
+    policy: RetryPolicy | None = None  # per-call retries (None = none)
 
 
 @dataclasses.dataclass
@@ -204,20 +210,19 @@ def _host_rows(host: Any, kind: str, texts: list[str]) -> list[dict]:
 
 
 def _rows_segment(host: Any, work: SegmentWork) -> list[dict]:
-    """Resilient rows for one segment: the ``run_resilient`` ladder.
+    """Resilient rows for one segment: the one rows degradation ladder.
 
     Optimistic whole-segment attempt first; under ``skip``/``degrade``
     each text is then retried in isolation so one poisoned input cannot
-    take down its segment-mates. Statuses mirror
-    :meth:`repro.tasks.models.TaskModel.run_resilient` exactly.
+    take down its segment-mates. Every call retries under
+    ``work.policy``. Statuses: ``ok``, ``skipped`` or ``degraded``.
     """
     texts = list(work.items)
-    policy = RetryPolicy(max_retries=0, base_delay=0.0, jitter=0.0)
     try:
         rows = run_stage(
             lambda: _host_rows(host, work.kind, texts),
             stage=work.kind,
-            policy=policy,
+            policy=work.policy,
         )
         return [{"row": row, "status": "ok"} for row in rows]
     except ReproError:
@@ -229,7 +234,7 @@ def _rows_segment(host: Any, work: SegmentWork) -> list[dict]:
             row = run_stage(
                 lambda t=text: _host_rows(host, work.kind, [t])[0],
                 stage=work.kind,
-                policy=policy,
+                policy=work.policy,
             )
             payloads.append({"row": row, "status": "ok"})
         except ReproError:
@@ -602,16 +607,22 @@ def _segment_works(
     items: Sequence[Any],
     segments: Sequence[Any],
     *,
-    mode: str,
+    mode: str = "raise",
     fields: Sequence[str] = (),
+    policy: RetryPolicy | None = None,
     shard_faults: Mapping[int, Sequence[FaultSpec]] | None = None,
 ) -> list[SegmentWork]:
     """One work unit per planned segment.
 
-    The host's own fault specs apply to every segment, each under its
-    own :func:`shard_seed`; ``shard_faults`` adds specs to single
-    segments (chaos testing of exactly one shard).
+    The one place ``mode`` is checked (:class:`InputError`). The host's
+    own fault specs apply to every segment, each under its own
+    :func:`shard_seed`; ``shard_faults`` adds specs to single segments
+    (chaos testing of exactly one shard).
     """
+    if mode not in ON_ERROR_POLICIES:
+        raise InputError(
+            f"unknown on_error {mode!r}; use {ON_ERROR_POLICIES}", stage="run"
+        )
     injector = getattr(host, "fault_injector", None)
     base_specs = tuple(injector.specs) if injector is not None else ()
     base_seed = injector.seed if injector is not None else 0
@@ -627,6 +638,7 @@ def _segment_works(
             fields=tuple(fields),
             specs=base_specs + tuple(extra.get(segment.index, ())),
             seed=shard_seed(base_seed, segment.index),
+            policy=policy,
         )
         for segment in segments
     ]
@@ -686,18 +698,19 @@ def _run_segments(
     ``on_error="raise"`` the lowest-indexed failure surfaces, as in a
     sequential run, and it is the live error the segment raised.
 
-    One exception: a journaled sequential rows run executes on the live
-    host. Serialized state restores bitwise-identically, so skipping the
-    broadcast round-trip cannot change output; it saves the round-trip
-    and keeps the host's caches warm, and the host's own calls keep its
-    stats current.
+    One exception: a sequential rows run that is journaled or has a
+    single segment executes on the live host. Serialized state restores
+    bitwise-identically, so skipping the broadcast round-trip cannot
+    change output; it saves the round-trip and keeps the host's caches
+    warm, and the host's own calls keep its stats current.
 
     Returns the settled outcomes in segment order plus execution stats;
     otherwise the outcomes' stats are merged back into ``host``
     (:func:`_merge_stats`).
     """
     pooled = workers > 1 and len(works) > 1
-    if not pooled and journal is not None and kind != KIND_PIPELINE:
+    live = journal is not None or len(works) == 1
+    if not pooled and live and kind != KIND_PIPELINE:
         saved_injector = getattr(host, "fault_injector", None)
         try:
             settled = _run_in_order(
@@ -837,23 +850,21 @@ def _run_corpus(
     *,
     workers: int,
     num_shards: int | None = None,
-    mode: str = "raise",
-    shard_faults: Mapping[int, Sequence[FaultSpec]] | None = None,
+    **plan: Any,
 ) -> list[SegmentOutcome]:
     """A non-journaled run: outcomes of token-balanced shards, in order.
 
     The shard count is ``min(num_shards or workers, len(items))`` — one
-    big batch per worker by default, not journal-sized segments.
+    big batch per worker by default, not journal-sized segments. The
+    ``plan`` keywords (``mode``, ``fields``, ``policy``,
+    ``shard_faults``) reach :func:`_segment_works`.
     """
     items = list(items)
-    if not items:
+    count = max(1, min(num_shards or workers, len(items)))
+    shards = plan_shards(_item_costs(kind, items), count)
+    works = _segment_works(host, kind, items, shards, **plan)
+    if not works:
         return []
-    shards = plan_shards(
-        _item_costs(kind, items), min(num_shards or workers, len(items))
-    )
-    works = _segment_works(
-        host, kind, items, shards, mode=mode, shard_faults=shard_faults
-    )
     return _run_segments(works, host, kind, workers=workers)[0]
 
 
@@ -888,17 +899,18 @@ def _run_journaled(
     *,
     identity: dict,
     digest: str,
-    mode: str,
-    fields: Sequence[str],
     workers: int,
     resume: bool,
     segment_items: int,
     config: SupervisorConfig | None,
     fault_injector: FaultInjector | None,
     drain_event: threading.Event | None,
+    **plan: Any,
 ) -> DurableRunResult:
     """Plan, bind the journal to the run's identity, run what is pending."""
     segments = plan_segments(_item_costs(kind, items), segment_items)
+    # Planned first: a rejected ``mode`` leaves nothing in ``run_dir``.
+    works = _segment_works(host, kind, items, segments, **plan)
     journal = RunJournal(run_dir, resume=resume, fault_injector=fault_injector)
     journal.begin(
         kind=kind,
@@ -910,15 +922,8 @@ def _run_journaled(
     run_stats: dict = {"workers": workers, "supervised": False}
     pending = set(journal.pending())
     if pending:
-        works = [
-            work
-            for work in _segment_works(
-                host, kind, items, segments, mode=mode, fields=fields
-            )
-            if work.index in pending
-        ]
         __, run_stats = _run_segments(
-            works,
+            [work for work in works if work.index in pending],
             host,
             kind,
             workers=workers,
@@ -945,13 +950,15 @@ def run_durable_rows(
     segment_items: int = DEFAULT_SEGMENT_ITEMS,
     on_error: str = "raise",
     fields: Sequence[str] | None = None,
+    policy: RetryPolicy | None = None,
     config: SupervisorConfig | None = None,
     fault_injector: FaultInjector | None = None,
     drain_event: threading.Event | None = None,
 ) -> DurableRunResult:
     """Journaled bulk inference: texts in, ``(row, status)`` pairs out.
 
-    The durable sibling of ``TaskModel.run_resilient``: output is
+    The durable sibling of ``TaskModel.run_resilient``, on the same
+    ladder (:func:`_rows_segment`) and statuses: output is
     bitwise-identical to an uninterrupted (or non-durable) run no matter
     how many times the process was killed and resumed in between,
     because segments are contiguous, per-segment results equal the
@@ -964,8 +971,11 @@ def run_durable_rows(
         texts: the corpus, order-significant.
         run_dir: journal directory; pass the same directory with
             ``resume=True`` to continue an interrupted run.
+        on_error: ``raise``/``skip``/``degrade``; anything else raises
+            :class:`InputError` before ``run_dir`` is touched.
         fields: empty-row schema for skip/degrade (defaults to the
             host's configured fields / the classification row schema).
+        policy: per-call retry policy for the ladder (None = no retries).
         fault_injector: journal-site injector (``journal_commit`` /
             ``journal_publish``) for crash testing.
         drain_event: external drain signal (see :class:`GracefulShutdown`).
@@ -989,6 +999,7 @@ def run_durable_rows(
         digest=input_digest(texts),
         mode=on_error,
         fields=fields,
+        policy=policy,
         workers=workers,
         resume=resume,
         segment_items=segment_items,
@@ -1019,16 +1030,7 @@ def run_durable_reports(
     ``pipeline.quarantine`` is extended with the (replayed or fresh)
     entries after the run completes.
     """
-    from repro.goalspotter.pipeline import ON_ERROR_POLICIES
-    from repro.runtime.errors import InputError
-    from repro.runtime.resilience import QuarantineEntry
-
     mode = on_error if on_error is not None else pipeline.on_error
-    if mode not in ON_ERROR_POLICIES:
-        raise InputError(
-            f"unknown on_error {mode!r}; use {ON_ERROR_POLICIES}",
-            stage="pipeline",
-        )
     reports = list(reports)
     result = _run_journaled(
         pipeline,
@@ -1042,7 +1044,6 @@ def run_durable_reports(
         },
         digest=_reports_digest(reports),
         mode=mode,
-        fields=(),
         workers=workers,
         resume=resume,
         segment_items=segment_items,

@@ -40,10 +40,9 @@ from repro.models.text_classifier import (
     classification_rows,
 )
 from repro.models.training import FineTuneConfig
-from repro.runtime.errors import InputError, ReproError
+from repro.runtime.errors import InputError
 from repro.runtime.parallel import resolve_workers
-from repro.goalspotter.pipeline import ON_ERROR_POLICIES
-from repro.runtime.resilience import RetryPolicy, run_stage
+from repro.runtime.resilience import RetryPolicy
 from repro.tasks.base import KIND_CLASSIFICATION, KIND_EXTRACTION, Task
 from repro.tasks.weak import KeywordRule, weak_vote
 
@@ -130,48 +129,31 @@ class TaskModel(abc.ABC):
         policy: RetryPolicy | None = None,
         workers: int | str | None = 1,
     ) -> list[tuple[dict[str, str], str]]:
-        """Batch inference with the CLI's degradation ladder.
+        """Batch inference under the corpus runner's degradation ladder.
 
-        Optimistic whole-batch attempt first; on failure each text is
-        retried in isolation so one poisoned input cannot take down its
-        batchmates. Returns ``(row, status)`` pairs where status is
-        ``"ok"``, ``"skipped"`` (row omitted semantics), or
-        ``"degraded"`` (empty row stands in).
+        Each shard (one per worker) makes one optimistic batched call; on
+        failure its texts are retried one by one, so one poisoned input
+        cannot take down its batchmates. Every call retries under
+        ``policy`` (None = no retries). Returns ``(row, status)`` pairs
+        where status is ``"ok"``, ``"skipped"`` (row omitted semantics)
+        or ``"degraded"`` (empty row stands in), as :meth:`run_journaled`.
         """
-        if on_error not in ON_ERROR_POLICIES:
-            raise InputError(
-                f"unknown on_error {on_error!r}; use {ON_ERROR_POLICIES}",
-                stage="tasks",
-            )
-        texts = list(texts)
-        if not texts:
-            return []
-        policy = policy or RetryPolicy(max_retries=0, base_delay=0.0, jitter=0.0)
+        from repro.runtime.supervisor import _run_corpus
 
-        def batch() -> list[dict[str, str]]:
-            if resolve_workers(workers) > 1 and len(texts) > 1:
-                return self.run_batch_parallel(texts, workers=workers)
-            return self.run_batch(texts)
-
-        try:
-            rows = run_stage(batch, stage=self.kind, policy=policy)
-            return [(row, "ok") for row in rows]
-        except ReproError:
-            if on_error == "raise":
-                raise
-        results: list[tuple[dict[str, str], str]] = []
-        for text in texts:
-            try:
-                row = run_stage(
-                    lambda t=text: self.run_batch([t])[0],
-                    stage=self.kind,
-                    policy=policy,
-                )
-                results.append((row, "ok"))
-            except ReproError:
-                status = "skipped" if on_error == "skip" else "degraded"
-                results.append((self.empty_row(), status))
-        return results
+        outcomes = _run_corpus(
+            self.backend,
+            self.kind,
+            texts,
+            workers=resolve_workers(workers),
+            mode=on_error,
+            fields=self.fields,
+            policy=policy,
+        )
+        return [
+            (payload["row"], payload["status"])
+            for outcome in outcomes
+            for payload in outcome.rows
+        ]
 
     # -- durable runs ------------------------------------------------------
 
@@ -195,19 +177,14 @@ class TaskModel(abc.ABC):
         uninterrupted run — for extraction *and* classification tasks
         alike. ``workers>1`` executes under the lease-supervised worker
         pool; extra ``kwargs`` reach
-        :func:`repro.runtime.supervisor.run_durable_rows` (``config``,
-        ``fault_injector``, ``drain_event``, ...).
+        :func:`repro.runtime.supervisor.run_durable_rows` (``policy``,
+        ``config``, ``fault_injector``, ``drain_event``, ...).
         """
         from repro.runtime.supervisor import (
             DEFAULT_SEGMENT_ITEMS,
             run_durable_rows,
         )
 
-        if on_error not in ON_ERROR_POLICIES:
-            raise InputError(
-                f"unknown on_error {on_error!r}; use {ON_ERROR_POLICIES}",
-                stage="tasks",
-            )
         result = run_durable_rows(
             self.backend,
             self.kind,

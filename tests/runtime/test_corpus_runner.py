@@ -17,16 +17,18 @@ import numpy as np
 import pytest
 
 from repro.core.base import DetailExtractor
+from repro.core.extractor import ExtractorConfig
 from repro.datasets.reports import ReportGenerator
 from repro.goalspotter.pipeline import GoalSpotter
 from repro.runtime.parallel import (
     extract_batch_parallel,
     process_reports_parallel,
 )
-from repro.runtime.errors import ModelError
+from repro.runtime.errors import InputError, ModelError
 from repro.runtime.profiling import RunStats
 from repro.runtime.resilience import FaultInjector, FaultSpec
 from repro.runtime.supervisor import run_durable_rows
+from repro.tasks.models import ExtractionModel
 
 pytestmark = pytest.mark.parallel
 
@@ -89,6 +91,23 @@ class BrokenExtractor(DetailExtractor):
 
     def extract(self, text):
         raise RuntimeError(f"cannot parse {text!r}")
+
+
+class MarkerExtractor(DetailExtractor):
+    """Fails any call that holds a POISON-marked text."""
+
+    name = "marker"
+
+    def __init__(self):
+        self.config = ExtractorConfig(fields=("Action",))
+
+    def fit(self, objectives):
+        return self
+
+    def extract(self, text):
+        if "POISON" in text:
+            raise RuntimeError(f"cannot parse {text!r}")
+        return {"Action": text.upper()}
 
 
 def _corpus():
@@ -207,3 +226,31 @@ class TestShardErrors:
             extract_batch_parallel(
                 BrokenExtractor(), ["a", "b"], workers=2, num_shards=2
             )
+
+
+class TestOneLadder:
+    @pytest.mark.parametrize("mode", ["degrade", "skip"])
+    def test_per_shard_ladder_equals_sequential(self, mode):
+        texts = [f"cut emissions {i}% by 2030" for i in range(6)]
+        texts[4] = "POISON " + texts[4]
+        model = ExtractionModel(MarkerExtractor())
+        sequential = model.run_resilient(texts, on_error=mode, workers=1)
+        pooled = model.run_resilient(texts, on_error=mode, workers=2)
+        assert pooled == sequential
+        failed = "skipped" if mode == "skip" else "degraded"
+        assert [status for __, status in pooled] == (
+            ["ok"] * 4 + [failed, "ok"]
+        )
+        clean = [{"Action": text.upper()} for text in texts]
+        assert [row for row, __ in pooled] == (
+            clean[:4] + [{"Action": ""}, clean[5]]
+        )
+
+    def test_unknown_on_error_is_rejected_before_the_journal(self, tmp_path):
+        run_dir = tmp_path / "run"
+        with pytest.raises(InputError):
+            run_durable_rows(
+                FixedWallExtractor(), "extraction", ["a", "b"], run_dir,
+                on_error="explode", fields=("Action",),
+            )
+        assert not run_dir.exists() or not any(run_dir.iterdir())

@@ -144,7 +144,7 @@ class TestOnErrorPolicies:
         lines = [json.loads(line) for line in out.out.strip().splitlines()]
         assert len(lines) == 3  # every input yields a line
         statuses = [line["status"] for line in lines]
-        assert statuses == ["ok", "failed", "ok"]
+        assert statuses == ["ok", "degraded", "ok"]
         failed = lines[1]
         assert all(value == "" for value in failed["details"].values())
         assert "1 degraded" in out.err
@@ -169,3 +169,51 @@ class TestOnErrorPolicies:
         stub_loader(StubCliExtractor(fail_texts=["BAD"]))
         code = run_extract(["--input", str(self.input_file(tmp_path))])
         assert code == 3
+
+
+class TestJournaledParity:
+    """``--run-dir`` runs the same ladder, statuses and retries."""
+
+    def input_file(self, tmp_path):
+        source = tmp_path / "objectives.txt"
+        source.write_text("good one 20%\nBAD apple\nanother good 30%\n")
+        return source
+
+    def test_degrade_statuses_match_with_and_without_run_dir(
+        self, stub_loader, tmp_path, capsys
+    ):
+        source = str(self.input_file(tmp_path))
+        outputs = []
+        for extra in ([], ["--run-dir", str(tmp_path / "run")]):
+            stub_loader(StubCliExtractor(fail_texts=["BAD"]))
+            code = run_extract(
+                ["--input", source, "--on-error", "degrade", *extra]
+            )
+            out = capsys.readouterr()
+            assert code == 0
+            statuses = [
+                json.loads(line)["status"]
+                for line in out.out.strip().splitlines()
+            ]
+            outputs.append((statuses, out.err))
+        plain, journaled = outputs
+        assert plain == journaled
+        assert plain[0] == ["ok", "degraded", "ok"]
+        assert "1 degraded" in plain[1]
+
+    def test_max_retries_recovers_under_run_dir(
+        self, stub_loader, tmp_path, capsys
+    ):
+        stub = stub_loader(StubCliExtractor(fail_first_n_batches=2))
+        code = run_extract(
+            [
+                "--input", str(self.input_file(tmp_path)),
+                "--max-retries", "2",
+                "--run-dir", str(tmp_path / "run"),
+            ]
+        )
+        out = capsys.readouterr()
+        assert code == 0
+        assert stub.remaining_batch_failures == 0
+        assert len(out.out.strip().splitlines()) == 3
+        assert "warning" not in out.err
