@@ -112,13 +112,20 @@ class ObjectiveDetector:
         return SequenceClassifier(encoder_config, 2, rng)
 
     def _encode(self, texts: Sequence[str]) -> list[list[int]]:
+        """Id sequences for ``texts``; each distinct text is encoded once.
+
+        Repeated texts share one (read-only) ids list.
+        """
         assert self.tokenizer is not None
+        ids_of: dict[str, list[int]] = {}
         sequences: list[list[int]] = []
         for text in texts:
-            words = self.word_tokenizer.words(self.normalizer(text))
-            if not words:
-                words = ["."]
-            sequences.append(list(self.tokenizer.encode(words).ids))
+            ids = ids_of.get(text)
+            if ids is None:
+                words = self.word_tokenizer.words(self.normalizer(text))
+                ids = list(self.tokenizer.encode(words or ["."]).ids)
+                ids_of[text] = ids
+            sequences.append(ids)
         return sequences
 
     def fit(

@@ -10,15 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import precision
-from repro.nn.batching import pad_sequences
 from repro.nn.encoder import EncoderConfig, TransformerEncoder
 from repro.nn.layers import Dropout, Linear
 from repro.nn.loss import cross_entropy
-from repro.nn.module import Module, guard_finite, inference_mode
-from repro.runtime import rescache
+from repro.nn.module import Module, guard_finite
 from repro.runtime.profiling import PerfCounters
-from repro.runtime.rescache import ResultCache, result_key
-from repro.runtime.scheduler import plan_batches
+from repro.runtime.rescache import ResultCache
+from repro.runtime.scheduler import predict_distinct
 
 
 class SequenceClassifier(Module):
@@ -103,11 +101,6 @@ class SequenceClassifier(Module):
 
         return dequantize_module(self)
 
-    def _cache_variant(self) -> str:
-        from repro.nn.quant import quantization_state
-
-        return quantization_state(self) or ""
-
     def predict_proba(
         self,
         sequences: list[list[int]],
@@ -120,99 +113,32 @@ class SequenceClassifier(Module):
     ) -> np.ndarray:
         """Class probabilities for each id sequence, ``(n, num_classes)``.
 
-        Uses the same cost-optimal length-sorted planner as the token
+        Each distinct id sequence runs through the encoder once per call
+        and duplicates get copies of its row. The distinct sequences go
+        through the same cost-optimal length-sorted planner as the token
         classifier (token budget defaults to ``batch_size * max_len``);
         rows come back in the original sequence order. With ``cache``,
-        probability rows are looked up by content key (ids + model
-        fingerprint + quantization variant) and only the misses are
-        planned and computed; width-invariant pooling makes hits
+        probability rows are also looked up by content key (ids + model
+        fingerprint + quantization variant) so they carry over *across*
+        calls; width-invariant pooling makes hits and copies
         bitwise-identical to a full uncached run.
         """
         from repro.nn.functional import softmax
 
-        self.eval()
         if not sequences:
             return np.zeros((0, self.num_classes), dtype=precision.dtype())
-        out = np.zeros((len(sequences), self.num_classes), dtype=precision.dtype())
-        effective_len = [
-            max(1, min(len(seq), self.config.max_len)) for seq in sequences
-        ]
-        cached_tokens = 0
-        hits = 0
-        key_of: dict[int, str] = {}
-        groups: dict[str, list[int]] = {}
-        if cache is None:
-            compute = list(range(len(sequences)))
-        else:
-            fingerprint = self.fingerprint()
-            variant = self._cache_variant()
-            compute = []
-            for index, seq in enumerate(sequences):
-                key = result_key(seq, fingerprint, variant)
-                found = cache.get(key)
-                if found is not None:
-                    out[index] = found
-                    hits += 1
-                    cached_tokens += effective_len[index]
-                else:
-                    key_of[index] = key
-                    if key not in groups:
-                        compute.append(index)
-                    groups.setdefault(key, []).append(index)
-        plan = None
-        evictions = 0
-        if compute:
-            plan = plan_batches(
-                [len(sequences[index]) for index in compute],
-                token_budget=token_budget or batch_size * self.config.max_len,
-                max_len=self.config.max_len,
-                max_rows=None if sort_by_length else batch_size,
-                sort_by_length=sort_by_length,
-            )
-            with inference_mode():
-                for microbatch in plan.microbatches:
-                    chunk_indices = [
-                        compute[position] for position in microbatch.indices
-                    ]
-                    chunk = [sequences[index] for index in chunk_indices]
-                    ids, mask = pad_sequences(
-                        chunk,
-                        pad_value=self.config.pad_id,
-                        width=microbatch.width,
-                    )
-                    out[chunk_indices] = softmax(
-                        self.forward(ids, mask), axis=-1
-                    )
-                    if cache is not None:
-                        for index in chunk_indices:
-                            evictions += cache.put(
-                                key_of[index], out[index]
-                            )
-        total_tokens = plan.total_tokens if plan else 0
-        if cache is not None:
-            # Fan computed rows out to intra-call duplicates (same key
-            # means same ids, so the copy is what a redundant forward
-            # would have produced).
-            for key, indices in groups.items():
-                first = indices[0]
-                for index in indices[1:]:
-                    out[index] = out[first]
-                    cached_tokens += effective_len[index]
-            total_tokens += cached_tokens
-        if counters is not None:
-            counters.add("sequences", len(sequences))
-            counters.add("microbatches", len(plan.microbatches) if plan else 0)
-            counters.add("total_tokens", total_tokens)
-            counters.add("padded_tokens", plan.padded_tokens if plan else 0)
-            if cache is not None:
-                counters.add(rescache.HITS, hits)
-                counters.add(rescache.MISSES, len(sequences) - hits)
-                counters.add(rescache.CACHED_TOKENS, cached_tokens)
-                if evictions:
-                    counters.add(rescache.EVICTIONS, evictions)
-                if not compute:
-                    counters.add(rescache.BYPASSES, 1)
-        return out
+        rows = predict_distinct(
+            self,
+            sequences,
+            lambda ids, mask: softmax(self.forward(ids, mask), axis=-1),
+            per_token=False,
+            batch_size=batch_size,
+            token_budget=token_budget,
+            sort_by_length=sort_by_length,
+            counters=counters,
+            cache=cache,
+        )
+        return np.stack(rows).astype(precision.dtype(), copy=False)
 
     def predict(
         self, sequences: list[list[int]], batch_size: int = 64, **kwargs

@@ -8,15 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.batching import pad_sequences
 from repro.nn.encoder import EncoderConfig, TransformerEncoder
 from repro.nn.layers import Dropout, Linear
 from repro.nn.loss import IGNORE_INDEX, cross_entropy
-from repro.nn.module import Module, guard_finite, inference_mode
-from repro.runtime import rescache
+from repro.nn.module import Module, guard_finite
 from repro.runtime.profiling import PerfCounters
-from repro.runtime.rescache import ResultCache, result_key
-from repro.runtime.scheduler import plan_batches
+from repro.runtime.rescache import ResultCache
+from repro.runtime.scheduler import predict_distinct
 
 
 class TokenClassifier(Module):
@@ -93,11 +91,6 @@ class TokenClassifier(Module):
 
         return dequantize_module(self)
 
-    def _cache_variant(self) -> str:
-        from repro.nn.quant import quantization_state
-
-        return quantization_state(self) or ""
-
     def predict_logits(
         self,
         sequences: list[list[int]],
@@ -110,9 +103,11 @@ class TokenClassifier(Module):
     ) -> list[np.ndarray]:
         """Per-token logits ``(len(seq), num_labels)`` per id sequence.
 
-        Sequences are sorted by length and cut into the microbatches of
-        least padded work plus per-call cost
-        (:func:`~repro.runtime.scheduler.plan_batches`), each under a
+        Each distinct id sequence runs through the encoder once per call;
+        duplicates get copies of its logits, bitwise what a redundant
+        forward would produce. The distinct sequences are sorted by length
+        and cut into the microbatches of least padded work plus per-call
+        cost (:func:`~repro.runtime.scheduler.plan_batches`), each under a
         token budget (default ``batch_size * max_len``); results come back
         in the original order and are bitwise-independent of the cuts.
         ``sort_by_length=False`` reproduces naive arrival-order chunks of
@@ -120,94 +115,22 @@ class TokenClassifier(Module):
 
         With ``cache`` (a :class:`~repro.runtime.rescache.ResultCache`),
         each sequence is first looked up by content key — normalized ids
-        + model fingerprint + quantization variant — and only the misses
-        are planned and computed (duplicate misses within one call run
-        the encoder once). Packing invariance makes cache hits
-        bitwise-identical to a full uncached run.
+        + model fingerprint + quantization variant — so results also carry
+        over *across* calls. Packing invariance makes cache hits
+        bitwise-identical to a full uncached run. Counter meanings are in
+        :func:`~repro.runtime.scheduler.predict_distinct`.
         """
-        self.eval()
-        if not sequences:
-            return []
-        outputs: list[np.ndarray | None] = [None] * len(sequences)
-        effective_len = [
-            max(1, min(len(seq), self.config.max_len)) for seq in sequences
-        ]
-        cached_tokens = 0
-        hits = 0
-        key_of: dict[int, str] = {}
-        groups: dict[str, list[int]] = {}
-        if cache is None:
-            compute = list(range(len(sequences)))
-        else:
-            fingerprint = self.fingerprint()
-            variant = self._cache_variant()
-            compute = []
-            for index, seq in enumerate(sequences):
-                key = result_key(seq, fingerprint, variant)
-                found = cache.get(key)
-                if found is not None:
-                    outputs[index] = np.array(found, copy=True)
-                    hits += 1
-                    cached_tokens += effective_len[index]
-                else:
-                    key_of[index] = key
-                    if key not in groups:
-                        compute.append(index)
-                    groups.setdefault(key, []).append(index)
-        plan = None
-        evictions = 0
-        if compute:
-            plan = plan_batches(
-                [len(sequences[index]) for index in compute],
-                token_budget=token_budget or batch_size * self.config.max_len,
-                max_len=self.config.max_len,
-                max_rows=None if sort_by_length else batch_size,
-                sort_by_length=sort_by_length,
-            )
-            with inference_mode():
-                for microbatch in plan.microbatches:
-                    chunk_indices = [
-                        compute[position] for position in microbatch.indices
-                    ]
-                    chunk = [sequences[index] for index in chunk_indices]
-                    ids, mask = pad_sequences(
-                        chunk,
-                        pad_value=self.config.pad_id,
-                        width=microbatch.width,
-                    )
-                    logits = self.forward(ids, mask)
-                    for row, index in enumerate(chunk_indices):
-                        length = min(len(sequences[index]), microbatch.width)
-                        outputs[index] = logits[row, :length].copy()
-                        if cache is not None:
-                            evictions += cache.put(
-                                key_of[index], outputs[index]
-                            )
-        total_tokens = plan.total_tokens if plan else 0
-        if cache is not None:
-            # Fan computed results out to intra-call duplicates: same
-            # content key means same ids, so the copy is bitwise what a
-            # redundant forward would have produced.
-            for key, indices in groups.items():
-                first = indices[0]
-                for index in indices[1:]:
-                    outputs[index] = outputs[first].copy()
-                    cached_tokens += effective_len[index]
-            total_tokens += cached_tokens
-        if counters is not None:
-            counters.add("sequences", len(sequences))
-            counters.add("microbatches", len(plan.microbatches) if plan else 0)
-            counters.add("total_tokens", total_tokens)
-            counters.add("padded_tokens", plan.padded_tokens if plan else 0)
-            if cache is not None:
-                counters.add(rescache.HITS, hits)
-                counters.add(rescache.MISSES, len(sequences) - hits)
-                counters.add(rescache.CACHED_TOKENS, cached_tokens)
-                if evictions:
-                    counters.add(rescache.EVICTIONS, evictions)
-                if not compute:
-                    counters.add(rescache.BYPASSES, 1)
-        return outputs
+        return predict_distinct(
+            self,
+            sequences,
+            self.forward,
+            per_token=True,
+            batch_size=batch_size,
+            token_budget=token_budget,
+            sort_by_length=sort_by_length,
+            counters=counters,
+            cache=cache,
+        )
 
     def predict(
         self,

@@ -108,10 +108,15 @@ class RunStats:
 
     @property
     def padding_waste(self) -> float:
-        """Fraction of the encoder's padded footprint spent on padding."""
+        """Fraction of the encoder's padded footprint spent on padding.
+
+        Only computed tokens occupy that footprint, so the tokens served
+        from the result cache are taken out of ``total_tokens`` first.
+        """
         if self.padded_tokens == 0:
             return 0.0
-        return 1.0 - self.total_tokens / self.padded_tokens
+        computed = self.total_tokens - self.result_cache_tokens
+        return 1.0 - computed / self.padded_tokens
 
     @property
     def bpe_cache_hit_rate(self) -> float:

@@ -19,6 +19,10 @@ bitwise-identical no matter which microbatch it lands in, which is what lets
 ``tests/runtime/test_equivalence.py`` compare bucketed and arrival-order
 plans with ``np.array_equal`` — and what makes the choice of cuts a pure
 throughput decision.
+
+:func:`predict_distinct` is the classifiers' inference loop on top of the
+planner: it runs each distinct id sequence of a call once and fans the
+result out to its duplicates.
 """
 
 from __future__ import annotations
@@ -27,6 +31,13 @@ import dataclasses
 import heapq
 import sys
 from collections.abc import Callable, Sequence
+
+import numpy as np
+
+from repro.nn.batching import pad_sequences
+from repro.nn.module import Module, inference_mode
+from repro.runtime import rescache
+from repro.runtime.profiling import PerfCounters
 
 #: Fixed cost of one encoder call, in padded tokens. Calibrated on a 2-core
 #: x86-64 host (numpy 2.4.6, OpenBLAS 0.3.31, one BLAS thread): the 580
@@ -233,3 +244,111 @@ def _min_cost_cuts(
     while ends[-1]:
         ends.append(previous[ends[-1]])
     return ends[-2::-1]
+
+
+def predict_distinct(
+    model: Module,
+    sequences: Sequence[Sequence[int]],
+    forward: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    *,
+    per_token: bool,
+    batch_size: int,
+    token_budget: int | None,
+    sort_by_length: bool,
+    counters: PerfCounters | None,
+    cache: rescache.ResultCache | None,
+) -> list[np.ndarray]:
+    """Run ``forward`` once per distinct id sequence; one result per input.
+
+    The classifiers' shared inference loop. Inputs are grouped by ids and
+    only the first of each group is planned, padded and run; the others
+    get copies. Packing invariance makes a copy bitwise what a redundant
+    forward would produce. A ``cache`` adds reuse across calls: every
+    input is looked up by content key first and computed rows are put.
+
+    ``forward(ids, mask)`` returns one output row per microbatch row;
+    ``per_token`` trims each row to its unpadded length (a copy), else a
+    row is returned whole (it may view the batch output). ``counters``
+    gets ``sequences`` (inputs), ``microbatches``, ``padded_tokens`` and
+    ``total_tokens`` (computed work, plus cache-served tokens when a
+    cache is attached) and the ``result_cache_*`` counters.
+    """
+    model.eval()
+    if not sequences:
+        return []
+    max_len = model.config.max_len
+    results: list = [None] * len(sequences)
+    first_of: dict[tuple[int, ...], int] = {}
+    compute: list[int] = []  # first index of each distinct computed input
+    copies: list[tuple[int, int]] = []  # (duplicate index, its first)
+    key_of: dict[int, str] = {}
+    hits = cached_tokens = 0
+    if cache is not None:
+        from repro.nn.quant import quantization_state
+
+        fingerprint = model.fingerprint()
+        variant = quantization_state(model) or ""
+    for index, seq in enumerate(sequences):
+        if cache is not None:
+            key = rescache.result_key(seq, fingerprint, variant)
+            found = cache.get(key)
+            if found is not None:
+                results[index] = found.copy()
+                hits += 1
+                cached_tokens += max(1, min(len(seq), max_len))
+                continue
+            key_of[index] = key
+        ids = tuple(seq)
+        first = first_of.get(ids)
+        if first is None:
+            first_of[ids] = index
+            compute.append(index)
+        else:
+            copies.append((index, first))
+    plan = None
+    evictions = 0
+    if compute:
+        plan = plan_batches(
+            [len(sequences[index]) for index in compute],
+            token_budget=token_budget or batch_size * max_len,
+            max_len=max_len,
+            max_rows=None if sort_by_length else batch_size,
+            sort_by_length=sort_by_length,
+        )
+        with inference_mode():
+            for microbatch in plan.microbatches:
+                chunk = [compute[position] for position in microbatch.indices]
+                ids, mask = pad_sequences(
+                    [sequences[index] for index in chunk],
+                    pad_value=model.config.pad_id,
+                    width=microbatch.width,
+                )
+                batch = forward(ids, mask)
+                for row, index in enumerate(chunk):
+                    if per_token:
+                        length = min(len(sequences[index]), microbatch.width)
+                        results[index] = batch[row, :length].copy()
+                    else:
+                        results[index] = batch[row]
+                    if cache is not None:
+                        evictions += cache.put(key_of[index], results[index])
+    for index, first in copies:
+        results[index] = results[first].copy()
+        if cache is not None:
+            cached_tokens += max(1, min(len(sequences[index]), max_len))
+    if counters is not None:
+        counters.add("sequences", len(sequences))
+        counters.add("microbatches", len(plan.microbatches) if plan else 0)
+        counters.add(
+            "total_tokens", (plan.total_tokens if plan else 0) + cached_tokens
+        )
+        counters.add("padded_tokens", plan.padded_tokens if plan else 0)
+        if cache is not None:
+            counters.add(rescache.HITS, hits)
+            counters.add(rescache.MISSES, len(sequences) - hits)
+            counters.add(rescache.CACHED_TOKENS, cached_tokens)
+            if evictions:
+                counters.add(rescache.EVICTIONS, evictions)
+            if not compute:
+                counters.add(rescache.BYPASSES, 1)
+    return results

@@ -72,7 +72,8 @@ class WordTokenizer:
 
     def words(self, text: str) -> list[str]:
         """Tokenize and return only the surface forms."""
-        return [token.text for token in self.iter_tokens(text)]
+        # The pattern has no capture groups, so findall yields whole matches.
+        return _TOKEN_RE.findall(text)
 
 
 #: Shared default instance (tokenization is stateless).

@@ -64,3 +64,25 @@ class TestObjectiveDetector:
         detector, __ = trained_detector
         probs = detector.predict_proba(["...", ""])
         assert len(probs) == 2
+
+    def test_repeated_blocks_encode_once_and_score_bitwise(
+        self, trained_detector, monkeypatch
+    ):
+        detector, generator = trained_detector
+        texts = [generator._objective_block().text for __ in range(4)]
+        texts += [generator._noise_block().text for __ in range(4)]
+        once = detector.predict_proba(texts)
+        calls = []
+        normalize = detector.normalizer
+
+        def spy(text):
+            calls.append(text)
+            return normalize(text)
+
+        monkeypatch.setattr(detector, "normalizer", spy)
+        tripled = detector.predict_proba(texts * 3)
+        np.testing.assert_array_equal(tripled, np.tile(once, 3))
+        assert sorted(calls) == sorted(set(texts))
+        stats = detector.last_run_stats
+        assert stats.sequences == len(texts) * 3
+        assert stats.padding_waste >= 0.0

@@ -2,7 +2,12 @@
 
 import json
 
+import numpy as np
+
+from repro.models.token_classifier import TokenClassifier
+from repro.nn.encoder import EncoderConfig
 from repro.runtime.profiling import PerfCounters, RunStats
+from repro.runtime.rescache import ResultCache
 
 
 class TestPerfCounters:
@@ -91,3 +96,38 @@ class TestRunStats:
         assert stats.timings == {"model_seconds": 0.25}
         assert stats.bpe_cache_hit_rate == 0.5
         assert stats.extra["normalize_cache_hits"] == 1.0
+
+    def test_padding_waste_excludes_cache_served_tokens(self):
+        # 8 of 10 sequences served from cache: their tokens are in
+        # total_tokens but never occupied the padded footprint.
+        stats = RunStats(
+            total_tokens=10 * 6,
+            padded_tokens=2 * 8,
+            result_cache_tokens=8 * 6,
+        )
+        assert stats.padding_waste == 1.0 - 12 / 16
+
+    def test_padding_waste_bounded_with_half_warm_cache(self):
+        model = TokenClassifier(
+            EncoderConfig(
+                vocab_size=40, dim=16, num_layers=1, num_heads=2,
+                ffn_dim=32, max_len=16, dropout=0.0,
+            ),
+            num_labels=3,
+            rng=np.random.default_rng(0),
+        )
+        rng = np.random.default_rng(1)
+        # Long sequences alternate with short ones and the long half is
+        # warm, so cache-served tokens far outnumber the padded footprint.
+        corpus = [
+            list(map(int, rng.integers(1, 40, size=length)))
+            for __ in range(5)
+            for length in (int(rng.integers(10, 13)), int(rng.integers(2, 5)))
+        ]
+        cache = ResultCache(capacity=32)
+        model.predict_logits(corpus[::2], cache=cache)  # warm half
+        counters = PerfCounters()
+        model.predict_logits(corpus, cache=cache, counters=counters)
+        stats = RunStats.from_counters(counters, wall_seconds=1.0)
+        assert stats.result_cache_hits == 5
+        assert 0.0 <= stats.padding_waste < 1.0

@@ -75,3 +75,19 @@ class TestWordTokenizer:
         tokens = WordTokenizer().tokenize(text)
         covered = sum(token.end - token.start for token in tokens)
         assert covered == len(text)
+
+
+@given(
+    st.text(
+        alphabet=st.one_of(
+            st.characters(),
+            st.sampled_from(list(" \t\n.,;:%-/()'\"0123456789aZ")),
+        ),
+        max_size=80,
+    )
+)
+def test_words_are_the_token_surface_forms(text):
+    tokenizer = WordTokenizer()
+    assert tokenizer.words(text) == [
+        token.text for token in tokenizer.tokenize(text)
+    ]
