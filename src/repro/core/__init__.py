@@ -41,7 +41,10 @@ from repro.core.alignment import (
 from repro.core.decoding import decode_details
 from repro.core.conll import export_weak_labels, format_conll, import_conll
 from repro.core.segmentation import segment_objectives
-from repro.core.constrained import constrained_decode
+from repro.core.constrained import (
+    constrained_decode,
+    constrained_decode_batch,
+)
 from repro.core.base import DetailExtractor
 from repro.core.extractor import (
     ExtractorConfig,
@@ -63,6 +66,7 @@ __all__ = [
     "WeakLabelingStats",
     "WeakSupervisionExtractor",
     "constrained_decode",
+    "constrained_decode_batch",
     "decode_details",
     "export_weak_labels",
     "format_conll",

@@ -24,7 +24,12 @@ from repro.core.alignment import (
     word_labels_to_piece_targets,
 )
 from repro.core.base import DetailExtractor
-from repro.core.constrained import constrained_decode
+# Bound under the decode's public name: a per-call span or profiler
+# hooked on ``repro.core.extractor.constrained_decode`` times the one
+# batched decode each extract call makes.
+from repro.core.constrained import (
+    constrained_decode_batch as constrained_decode,
+)
 from repro.core.decoding import decode_details
 from repro.core.iob import LabelScheme
 from repro.core.matching import (
@@ -495,12 +500,12 @@ class WeakSupervisionExtractor(DetailExtractor):
                 if self.fault_injector is not None:
                     self.fault_injector.check("forward")
                 if self.config.constrained_decoding:
-                    prediction_list = [
-                        constrained_decode(logits, self.scheme)
-                        for logits in self.model.predict_logits(
+                    prediction_list = constrained_decode(
+                        self.model.predict_logits(
                             sequences, **self._predict_kwargs(counters)
-                        )
-                    ]
+                        ),
+                        self.scheme,
+                    )
                 else:
                     prediction_list = self.model.predict(
                         sequences, **self._predict_kwargs(counters)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.constrained import viterbi_paths
 from repro.nn.functional import logsumexp
 
 
@@ -191,75 +192,20 @@ class LinearChainCRF:
 
     def viterbi(self, features: list[list[int]]) -> list[int]:
         """Most probable label sequence."""
-        emissions = self.emission_scores(features)
-        length = emissions.shape[0]
-        if length == 0:
-            return []
-        delta = self.start_weights + emissions[0]
-        backpointers = np.zeros((length, self.num_labels), dtype=np.int64)
-        for t in range(1, length):
-            scores = delta[:, None] + self.transition_weights
-            backpointers[t] = scores.argmax(axis=0)
-            delta = scores.max(axis=0) + emissions[t]
-        delta = delta + self.end_weights
-        best = int(delta.argmax())
-        path = [best]
-        for t in range(length - 1, 0, -1):
-            best = int(backpointers[t, best])
-            path.append(best)
-        path.reverse()
-        return path
+        return self.viterbi_batch([features])[0]
 
     def viterbi_batch(
         self, sentences: list[list[list[int]]]
     ) -> list[list[int]]:
         """Most probable label sequence for each sentence at once.
 
-        Vectorizes the DP over a length-padded batch: one ``(B, L, L)``
-        score tensor per time step instead of one ``(L, L)`` matrix per
-        sentence per step. Bitwise-identical to mapping :meth:`viterbi`
-        (asserted in ``tests/crf/test_viterbi_batch.py``): every cell is
-        the same ``delta_i + trans[i, j]`` sum in the same dtype, ``max``
-        is order-exact, and ``argmax`` keeps numpy's first-maximum
-        tie-breaking along the reduced axis in both shapes. Rows whose
-        sentence has ended keep their ``delta`` frozen, so padding never
-        leaks into shorter sentences.
+        One DP over the whole batch through the package's Viterbi kernel,
+        :func:`repro.core.constrained.viterbi_paths`, which is bitwise
+        per sentence (asserted in ``tests/crf/test_viterbi_batch.py``).
         """
-        if not sentences:
-            return []
-        lengths = np.array([len(sentence) for sentence in sentences])
-        width = int(lengths.max())
-        if width == 0:
-            return [[] for __ in sentences]
-        batch = len(sentences)
-        emissions = np.zeros((batch, width, self.num_labels))
-        for row, sentence in enumerate(sentences):
-            if sentence:
-                emissions[row, : len(sentence)] = self.emission_scores(
-                    sentence
-                )
-        delta = self.start_weights + emissions[:, 0]
-        backpointers = np.zeros(
-            (batch, width, self.num_labels), dtype=np.int64
+        return viterbi_paths(
+            [self.emission_scores(sentence) for sentence in sentences],
+            self.transition_weights,
+            self.start_weights,
+            self.end_weights,
         )
-        for t in range(1, width):
-            scores = delta[:, :, None] + self.transition_weights[None]
-            backpointers[:, t] = scores.argmax(axis=1)
-            active = (t < lengths)[:, None]
-            delta = np.where(
-                active, scores.max(axis=1) + emissions[:, t], delta
-            )
-        delta = delta + self.end_weights
-        paths: list[list[int]] = []
-        for row, length in enumerate(lengths):
-            if length == 0:
-                paths.append([])
-                continue
-            best = int(delta[row].argmax())
-            path = [best]
-            for t in range(int(length) - 1, 0, -1):
-                best = int(backpointers[row, t, best])
-                path.append(best)
-            path.reverse()
-            paths.append(path)
-        return paths

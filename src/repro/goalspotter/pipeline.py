@@ -80,9 +80,19 @@ def record_to_payload(record: ExtractedRecord) -> dict:
     shortest-repr float coding), so
     ``record_from_payload(json.loads(json.dumps(record_to_payload(r))))``
     equals ``r`` — the property the durable-run bitwise guarantee rests
-    on.
+    on. An explicit copy of the fields, in declaration order: the same
+    dict ``dataclasses.asdict`` builds, without its recursive deep copy.
     """
-    return dataclasses.asdict(record)
+    return {
+        "company": record.company,
+        "report_id": record.report_id,
+        "page": record.page,
+        "objective": record.objective,
+        "details": dict(record.details),
+        "score": record.score,
+        "status": record.status,
+        "reporting_year": record.reporting_year,
+    }
 
 
 def record_from_payload(payload: dict) -> ExtractedRecord:

@@ -23,8 +23,9 @@ shipped back and merged).
   :mod:`repro.runtime.rescache`) are value-transparent and every worker's
   RNG state derives deterministically from the broadcast — a pickled
   :class:`~repro.runtime.rescache.ResultCache` arrives *empty* with fresh
-  stats, and the single-worker path restores from the same broadcast, so
-  ``workers=1`` and ``workers=N`` stay bitwise-identical with caching on.
+  stats, and a sequential run on the caller's live host reads warm
+  caches that return the same values, so ``workers=1`` and
+  ``workers=N`` stay bitwise-identical with caching on.
 
 Per-shard ``RunStats`` merge back through :meth:`RunStats.merge`, so
 fleet-wide counters equal the sum of per-shard counters exactly.
@@ -37,11 +38,12 @@ path — also reachable as ``GoalSpotter(..., workers=N)`` or
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import multiprocessing
 import os
 import pickle
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.nn.module import Module
@@ -248,28 +250,44 @@ def _broadcast(host: Any, components: Sequence[str]) -> PipelineBroadcast:
 _PIPELINE_COMPONENTS = ("detector", "extractor", "fallback_extractor")
 
 
-def broadcast_pipeline(pipeline: "GoalSpotter") -> PipelineBroadcast:
-    """Package a fitted :class:`GoalSpotter` for worker processes.
+@contextlib.contextmanager
+def _fresh_run_state(pipeline: "GoalSpotter") -> Iterator[None]:
+    """Reset a pipeline's run-scoped state for the block; restore it after.
 
-    Run-scoped state (quarantine, breakers, stats) is excluded so every
-    worker starts clean; the caller's pipeline is left untouched.
+    Quarantine, circuit breakers, ``last_run_stats`` and the fault
+    injector belong to one run. A broadcast ships without them, a run on
+    the caller's live host starts without them, and either way the
+    caller gets its own back when the block exits.
     """
     saved = (
         pipeline.quarantine,
         pipeline._breakers,
         pipeline.last_run_stats,
+        pipeline.fault_injector,
     )
     pipeline.quarantine = QuarantineQueue()
     pipeline._breakers = {}
     pipeline.last_run_stats = None
+    pipeline.fault_injector = None
     try:
-        return _broadcast(pipeline, _PIPELINE_COMPONENTS)
+        yield
     finally:
         (
             pipeline.quarantine,
             pipeline._breakers,
             pipeline.last_run_stats,
+            pipeline.fault_injector,
         ) = saved
+
+
+def broadcast_pipeline(pipeline: "GoalSpotter") -> PipelineBroadcast:
+    """Package a fitted :class:`GoalSpotter` for worker processes.
+
+    Run-scoped state is excluded (:func:`_fresh_run_state`), so every
+    worker starts clean; the caller's pipeline is left untouched.
+    """
+    with _fresh_run_state(pipeline):
+        return _broadcast(pipeline, _PIPELINE_COMPONENTS)
 
 
 def restore_pipeline(broadcast: PipelineBroadcast) -> Any:

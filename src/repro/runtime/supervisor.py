@@ -1,11 +1,12 @@
 """The corpus runner: segment execution, worker supervision, run drivers.
 
 Every corpus run — journaled or not, sequential or pooled — executes
-through :func:`_run_segments`: the host is broadcast once, and each
-segment (:class:`SegmentWork`) runs through one executor on a copy
-restored from that broadcast, in-process or in a :class:`PoolTransport`
-worker. A non-journaled run is a journaled run with an in-memory sink
-and no leases (DESIGN §6c).
+through :func:`_run_segments`, and each segment (:class:`SegmentWork`)
+runs through one executor: on the caller's live host for a sequential
+run that is journaled or has one segment, otherwise on a copy restored
+from a once-per-run broadcast, in-process or in a
+:class:`PoolTransport` worker. A non-journaled run is a journaled run
+with an in-memory sink and no leases (DESIGN §6c).
 
 :mod:`repro.runtime.journal` makes committed work crash-safe; for
 journaled pooled runs a :class:`RunSupervisor` claims pending segments
@@ -62,6 +63,7 @@ from repro.runtime.journal import RunJournal, input_digest
 from repro.runtime.parallel import (
     _broadcast,
     _component,
+    _fresh_run_state,
     _open_pool,
     broadcast_pipeline,
     estimate_report_cost,
@@ -247,19 +249,26 @@ def _rows_segment(host: Any, work: SegmentWork) -> list[dict]:
 def _execute_segment(
     host: Any, work: SegmentWork, *, isolate: bool = True
 ) -> SegmentOutcome:
-    """Run one segment on a broadcast-restored ``host``.
+    """Run one segment on ``host``: a broadcast copy or the live host.
 
-    Run-scoped state is reset first — per-segment fault injector under
-    the segment seed, fresh quarantine, zeroed model stats — so a
-    segment's outcome depends only on its inputs and the broadcast,
+    Per-segment state is set first — a fault injector under the segment
+    seed, a fresh quarantine for the pipeline kind — so a segment's
+    outcome depends only on its inputs and the host's fitted state,
     never on pool scheduling or on which attempt produced it. Failures
     come back as typed payloads plus the live error.
 
-    ``isolate=False`` runs on the caller's live host instead: its model
-    stats are left alone (its own calls keep them current) and no
-    per-segment stats are reported.
+    ``isolate=True`` measures the segment's model stats alone: each
+    component's ``RunStats`` are zeroed for the segment, reported as
+    ``model_stats`` and then put back, so :func:`_merge_stats` folds
+    every segment in exactly once whether it ran on a copy or on the
+    caller's host. ``isolate=False`` leaves them to the host's own
+    calls, which keep them current, and reports none.
     """
     owners = _stats_owners(host, work.kind) if isolate else {}
+    saved = {
+        name: (owner.last_run_stats, owner.total_run_stats)
+        for name, owner in owners.items()
+    }
     for owner in owners.values():
         owner.total_run_stats = RunStats()
         owner.last_run_stats = None
@@ -289,14 +298,18 @@ def _execute_segment(
             error=payload,
             exception=error,
         )
+    finally:
+        model_stats = {
+            name: owner.total_run_stats for name, owner in owners.items()
+        }
+        for name, owner in owners.items():
+            owner.last_run_stats, owner.total_run_stats = saved[name]
     return SegmentOutcome(
         index=work.index,
         rows=rows,
         quarantine=quarantine,
         stats=host.last_run_stats if work.kind == KIND_PIPELINE else None,
-        model_stats={
-            name: owner.total_run_stats for name, owner in owners.items()
-        },
+        model_stats=model_stats,
     )
 
 
@@ -687,30 +700,36 @@ def _run_segments(
 ) -> tuple[list[SegmentOutcome], dict]:
     """Execute ``works``: the one code path that runs corpus work.
 
-    The host is broadcast once, and every segment runs through
-    :func:`_execute_segment` on a copy restored from that broadcast:
-    in-process for ``workers<=1`` (or a single segment), in a
-    :class:`PoolTransport` otherwise. With a ``journal``, each segment
-    commits as it settles, and pooled runs go through the
+    Every segment runs through :func:`_execute_segment`. A sequential
+    run that is journaled or has a single segment runs on the caller's
+    live host; any other run broadcasts the host once and runs on
+    copies restored from that broadcast: in-process for ``workers<=1``,
+    in a :class:`PoolTransport` otherwise. With a ``journal``, each
+    segment commits as it settles, and pooled runs go through the
     lease-supervised :class:`RunSupervisor`. Without one, the returned
     outcomes are the only sink; there is nothing to re-grant into, so
     there are no leases, and results settle in segment order — under
     ``on_error="raise"`` the lowest-indexed failure surfaces, as in a
     sequential run, and it is the live error the segment raised.
 
-    One exception: a sequential rows run that is journaled or has a
-    single segment executes on the live host. Serialized state restores
+    The live host is safe because serialized state restores
     bitwise-identically, so skipping the broadcast round-trip cannot
-    change output; it saves the round-trip and keeps the host's caches
-    warm, and the host's own calls keep its stats current.
+    change output; it saves the round-trip and keeps the host's BPE,
+    normalize and result caches warm. A rows run leaves the host's stats
+    to its own calls. A pipeline run gets a fresh run-scoped state
+    (quarantine, circuit breakers, ``last_run_stats``, fault injector)
+    once for the whole run, exactly what a broadcast copy starts with,
+    and the caller's own comes back afterwards; its segments' stats
+    merge as a broadcast run's do.
 
     Returns the settled outcomes in segment order plus execution stats;
-    otherwise the outcomes' stats are merged back into ``host``
-    (:func:`_merge_stats`).
+    apart from a live rows run, the outcomes' stats are merged back into
+    ``host`` (:func:`_merge_stats`).
     """
     pooled = workers > 1 and len(works) > 1
-    live = journal is not None or len(works) == 1
-    if not pooled and live and kind != KIND_PIPELINE:
+    live = not pooled and (journal is not None or len(works) == 1)
+    run = {"workers": 1, "supervised": False}
+    if live and kind != KIND_PIPELINE:
         saved_injector = getattr(host, "fault_injector", None)
         try:
             settled = _run_in_order(
@@ -719,20 +738,22 @@ def _run_segments(
         finally:
             if hasattr(host, "fault_injector"):
                 host.fault_injector = saved_injector
-        return settled, {"workers": 1, "supervised": False}
+        return settled, run
     started = time.perf_counter()
-    # broadcast_pipeline is looked up in this module's namespace on every
-    # call, so a wrapper installed there sees each pipeline broadcast.
-    if kind == KIND_PIPELINE:
-        broadcast = broadcast_pipeline(host)
+    if live:
+        with _fresh_run_state(host):
+            settled = _run_in_order(host, works, journal, drain_event)
+        broadcast_seconds, broadcast_bytes = 0.0, 0
     else:
-        broadcast = _broadcast(host, ("",))
-    broadcast_seconds = time.perf_counter() - started
-    if not pooled:
-        local = restore_pipeline(broadcast)
-        settled = _run_in_order(local, works, journal, drain_event)
-        run = {"workers": 1, "supervised": False}
-    else:
+        # broadcast_pipeline is looked up in this module's namespace on
+        # every call, so a wrapper installed there sees each broadcast.
+        if kind == KIND_PIPELINE:
+            broadcast = broadcast_pipeline(host)
+        else:
+            broadcast = _broadcast(host, ("",))
+        broadcast_seconds = time.perf_counter() - started
+        broadcast_bytes = broadcast.num_bytes
+    if pooled:
         transport = PoolTransport(broadcast, workers=min(workers, len(works)))
         try:
             if journal is not None:
@@ -749,6 +770,9 @@ def _run_segments(
                 run = {"workers": workers, "supervised": False}
         finally:
             transport.close(force=True)
+    elif not live:
+        local = restore_pipeline(broadcast)
+        settled = _run_in_order(local, works, journal, drain_event)
     settled.sort(key=lambda outcome: outcome.index)
     _merge_stats(
         host,
@@ -758,7 +782,7 @@ def _run_segments(
         workers=workers,
         wall=time.perf_counter() - started,
         broadcast_seconds=broadcast_seconds,
-        broadcast_bytes=broadcast.num_bytes,
+        broadcast_bytes=broadcast_bytes,
     )
     return settled, run
 

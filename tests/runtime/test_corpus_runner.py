@@ -24,9 +24,10 @@ from repro.runtime.parallel import (
     extract_batch_parallel,
     process_reports_parallel,
 )
+import repro.runtime.supervisor as supervisor
 from repro.runtime.errors import InputError, ModelError
 from repro.runtime.profiling import RunStats
-from repro.runtime.resilience import FaultInjector, FaultSpec
+from repro.runtime.resilience import CircuitBreaker, FaultInjector, FaultSpec
 from repro.runtime.supervisor import run_durable_rows
 from repro.tasks.models import ExtractionModel
 
@@ -162,11 +163,124 @@ class TestOneRunner:
         # The faults really fired: documents were quarantined.
         assert sharded.quarantine.report_ids()
 
+    def test_journaled_sequential_run_equals_pooled_run(self, tmp_path):
+        corpus = _corpus()
+        runs = {}
+        for workers in (1, 2):
+            pipeline = _faulty_pipeline()
+            records = pipeline.process_reports_durable(
+                corpus, tmp_path / f"run{workers}", workers=workers,
+                on_error="degrade", segment_items=SEGMENT_ITEMS,
+            )
+            runs[workers] = (records, _quarantine_keys(pipeline))
+        assert runs[1] == runs[2]
+        assert runs[1][1]  # the faults fired
+
+    def test_journaled_sequential_run_makes_no_broadcast(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            supervisor, "broadcast_pipeline",
+            lambda pipeline: calls.append(pipeline),
+        )
+        _faulty_pipeline().process_reports_durable(
+            _corpus(), tmp_path / "run", workers=1, on_error="degrade",
+            segment_items=SEGMENT_ITEMS,
+        )
+        assert calls == []
+
     def test_non_journaled_stats_carry_no_durable_key(self):
         pipeline = GoalSpotter(RunnerDetector(), RunnerExtractor())
         process_reports_parallel(pipeline, _corpus(), workers=2)
         assert "durable" not in pipeline.last_run_stats
         assert pipeline.last_run_stats["num_shards"] == 2
+
+
+class TestLiveHostRunState:
+    """A sequential pipeline run on the caller's live host starts from
+    the run state a broadcast copy starts from, and hands the caller's
+    own back."""
+
+    def test_caller_state_survives_and_is_not_used(self, tmp_path):
+        corpus = _corpus()
+        reference = _faulty_pipeline()
+        expected = reference.process_reports_durable(
+            corpus, tmp_path / "reference", workers=2, on_error="degrade",
+            segment_items=SEGMENT_ITEMS,
+        )
+
+        pipeline = _faulty_pipeline()
+        pipeline.quarantine.put(
+            corpus[0], "detect", ModelError("an earlier run", stage="detect")
+        )
+        held = _quarantine_keys(pipeline)
+        # Tripped breakers would fail every per-document call of the run.
+        tripped = CircuitBreaker(failure_threshold=1, recovery_time=3600.0)
+        tripped.record_failure()
+        breakers = {"detect": tripped, "extract": tripped}
+        pipeline._breakers = breakers
+        injector = pipeline.fault_injector
+
+        records = pipeline.process_reports_durable(
+            corpus, tmp_path / "live", workers=1, on_error="degrade",
+            segment_items=SEGMENT_ITEMS,
+        )
+
+        assert records == expected
+        assert _quarantine_keys(pipeline) == (
+            held + _quarantine_keys(reference)
+        )
+        assert pipeline._breakers is breakers
+        assert tripped.state == "open"
+        # Segments ran under their own injectors, not the caller's.
+        assert pipeline.fault_injector is injector
+        assert injector.calls("detect") == injector.calls("extract") == 0
+        assert pipeline.last_run_stats["durable"]["segments_committed"] == (
+            math.ceil(len(corpus) / SEGMENT_ITEMS)
+        )
+
+    def test_caller_state_comes_back_when_the_run_fails(self, tmp_path):
+        injector = FaultInjector(
+            [FaultSpec(stage="detect", error="model", rate=1.0)], seed=3
+        )
+        pipeline = GoalSpotter(
+            RunnerDetector(), RunnerExtractor(), fault_injector=injector
+        )
+        quarantine, breakers = pipeline.quarantine, pipeline._breakers
+        with pytest.raises(ModelError):
+            pipeline.process_reports_durable(
+                _corpus(), tmp_path / "run", workers=1,
+                segment_items=SEGMENT_ITEMS,
+            )
+        assert pipeline.quarantine is quarantine and len(quarantine) == 0
+        assert pipeline._breakers is breakers
+        assert pipeline.fault_injector is injector
+
+    def test_single_segment_stats_merge_like_a_broadcast_run(self):
+        corpus = _corpus()
+        stats = {}
+        for name, num_shards in (("live", 1), ("broadcast", 2)):
+            pipeline = GoalSpotter(RunnerDetector(), FixedWallExtractor())
+            pipeline.last_run_stats = {"earlier": True}
+            process_reports_parallel(
+                pipeline, corpus, workers=1, num_shards=num_shards
+            )
+            stats[name] = (pipeline.last_run_stats, pipeline.extractor)
+        (live, live_extractor), (copied, copied_extractor) = (
+            stats["live"], stats["broadcast"],
+        )
+        assert live["num_shards"] == 1 and copied["num_shards"] == 2
+        assert live["broadcast_bytes"] == 0 < copied["broadcast_bytes"]
+        for key in ("blocks", "detected_blocks", "extraction_units",
+                    "records"):
+            assert live[key] == copied[key]
+        assert live["extractor"]["sequences"] == live["extraction_units"]
+        # Each segment's model stats fold in once, on either path.
+        for extractor in (live_extractor, copied_extractor):
+            units = extractor.last_run_stats.sequences
+            assert units == live["extraction_units"]
+            assert extractor.total_run_stats.sequences == units
 
 
 class TestMergedWallClock:
