@@ -315,6 +315,12 @@ class GoalSpotter:
         RunSupervisor`); extra ``kwargs`` pass through to
         :func:`repro.runtime.supervisor.run_durable_reports`
         (``config``, ``fault_injector``, ``drain_event``, ...).
+
+        ``last_run_stats`` afterwards is the merged summary of the
+        segments this call executed (zero blocks when every segment
+        replayed from the journal), with ``records`` counting the whole
+        run's records, plus ``on_error`` and the journal's stats under
+        ``durable``.
         """
         # Deferred import: repro.runtime.supervisor needs this module.
         from repro.runtime.supervisor import run_durable_reports
@@ -333,6 +339,7 @@ class GoalSpotter:
             record_from_payload(payload) for payload in result.payloads
         ]
         self.last_run_stats = {
+            **self.last_run_stats,
             "records": len(records),
             "on_error": on_error if on_error is not None else self.on_error,
             "durable": result.stats,

@@ -2,14 +2,17 @@
 
 A corpus is split into contiguous *shards* balanced by estimated token
 count (the same whitespace-word length proxy the scheduler and serving
-engine budget by), and the fitted host is broadcast to worker processes
-exactly **once** at spawn — model weights travel as compact ``.npz``
-payloads via :mod:`repro.nn.serialize`, never re-pickled per document.
-Execution itself lives in :mod:`repro.runtime.supervisor`: a non-journaled
-``workers=N`` run is a journaled run with an in-memory sink and no leases,
-so both go through the same segment executor (per-shard ``on_error``
-semantics, deterministic per-shard fault-injector seeds, quarantine
-shipped back and merged).
+engine budget by). Where the platform can fork, pool workers are forked
+from the caller's live host and run on it copy-on-write, caches warm,
+with nothing serialized. Where it cannot, the fitted host is broadcast
+to spawned workers exactly **once** at spawn — model weights travel as
+compact ``.npz`` payloads via :mod:`repro.nn.serialize`, never
+re-pickled per document. Execution itself lives in
+:mod:`repro.runtime.supervisor`: a non-journaled ``workers=N`` run is a
+journaled run with an in-memory sink and no leases, so both go through
+the same segment executor (per-shard ``on_error`` semantics,
+deterministic per-shard fault-injector seeds, quarantine shipped back
+and merged).
 
 **Correctness contract**: ``workers=N`` is bitwise-identical to
 ``workers=1``. Three properties underwrite this:
@@ -21,10 +24,10 @@ shipped back and merged).
   and extraction produce the same scores as one corpus-wide batch;
 * caches (BPE, normalize, and the content-addressed result cache of
   :mod:`repro.runtime.rescache`) are value-transparent and every worker's
-  RNG state derives deterministically from the broadcast — a pickled
+  RNG state derives deterministically from the host's fitted state — a
+  forked worker reads the caller's warm caches, a pickled
   :class:`~repro.runtime.rescache.ResultCache` arrives *empty* with fresh
-  stats, and a sequential run on the caller's live host reads warm
-  caches that return the same values, so ``workers=1`` and
+  stats, and either way the values are the same, so ``workers=1`` and
   ``workers=N`` stay bitwise-identical with caching on.
 
 Per-shard ``RunStats`` merge back through :meth:`RunStats.merge`, so
@@ -43,6 +46,7 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
+import threading
 from collections.abc import Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
@@ -82,10 +86,14 @@ __all__ = [
 def resolve_workers(workers: int | str | None) -> int:
     """Resolve a worker-count knob to a concrete positive integer.
 
-    ``None``, ``0`` and ``"auto"`` mean "one worker per CPU core"; any
-    other value must be a positive integer.
+    ``None``, ``0`` and ``"auto"`` mean "one worker per CPU this process
+    may run on" (its affinity mask where the platform has one, so a
+    cpuset-limited host is not oversubscribed); any other value must be
+    a positive integer.
     """
     if workers in (None, 0, "auto"):
+        if hasattr(os, "sched_getaffinity"):
+            return max(1, len(os.sched_getaffinity(0)))
         return max(1, os.cpu_count() or 1)
     count = int(workers)
     if count < 1:
@@ -199,7 +207,7 @@ class _ModelState:
 
 @dataclasses.dataclass(frozen=True)
 class PipelineBroadcast:
-    """Everything a worker needs, shipped once at spawn.
+    """Everything a spawned worker needs, shipped once at spawn.
 
     ``skeleton`` is the host object pickled with its fitted models
     detached (configs, tokenizers, policies — small); ``states`` carries
@@ -255,9 +263,10 @@ def _fresh_run_state(pipeline: "GoalSpotter") -> Iterator[None]:
     """Reset a pipeline's run-scoped state for the block; restore it after.
 
     Quarantine, circuit breakers, ``last_run_stats`` and the fault
-    injector belong to one run. A broadcast ships without them, a run on
-    the caller's live host starts without them, and either way the
-    caller gets its own back when the block exits.
+    injector belong to one run. A broadcast ships without them; a run on
+    the caller's live host, in-process or in workers forked inside the
+    block, starts without them; either way the caller gets its own back
+    when the block exits.
     """
     saved = (
         pipeline.quarantine,
@@ -316,20 +325,79 @@ def _pinned_initializer(initializer: Any, *initargs: Any) -> None:
         initializer(*initargs)
 
 
-def _open_pool(processes: int, initializer: Any = None, initargs: tuple = ()):
+def _open_pool(
+    processes: int,
+    initializer: Any = None,
+    initargs: tuple = (),
+    *,
+    spawn: Any = None,
+):
     """The runtime's one process-pool constructor (fork where available).
 
-    Forked workers inherit the parent's BLAS thread pin; spawned ones
-    start a fresh OpenBLAS and are pinned again before any work.
+    Forked workers inherit the parent's memory: its BLAS thread pin and
+    whatever ``initargs`` reference, which a fork hands over without
+    pickling. Where fork is unavailable, ``spawn`` — a callable
+    returning an ``(initializer, initargs)`` pair, called only then —
+    supplies picklable set-up in place of the fork's, and each spawned
+    worker pins BLAS before any work.
     """
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # no fork on this platform
         context = multiprocessing.get_context("spawn")
+        if spawn is not None:
+            initializer, initargs = spawn()
         initializer, initargs = _pinned_initializer, (initializer, *initargs)
     return context.Pool(
         processes=processes, initializer=initializer, initargs=initargs
     )
+
+
+_FRESH_LOCKS = {
+    type(threading.Lock()): threading.Lock,
+    type(threading.RLock()): threading.RLock,
+}
+
+
+def _attribute_names(node: Any) -> list[str]:
+    names = list(getattr(node, "__dict__", ()))
+    for klass in type(node).__mro__:
+        slots = getattr(klass, "__slots__", ())
+        names.extend((slots,) if isinstance(slots, str) else slots)
+    return names
+
+
+def _renew_locks(root: Any) -> None:
+    """Give every lock reachable from ``root`` a fresh, unheld twin.
+
+    A forked child inherits each lock as it was at the fork, so one that
+    another parent thread held then (a serving thread inside the BPE or
+    normalize cache, a stats merge, a result-cache lookup) would never
+    be released in the child. The walk follows attributes
+    (``__dict__`` and ``__slots__``) from ``repro`` object to ``repro``
+    object, which reaches every lock the components' ``__getstate__``
+    hooks drop: tokenizer, normalize and result caches, stats, the
+    fault injector. It does not iterate containers: touching every
+    cached entry would copy the pages the child shares with the parent.
+    The one container of locked objects, a pipeline's circuit breakers,
+    is empty in a forked run (:func:`_fresh_run_state`). What a renewed
+    lock guards is consistent between single operations, each of which
+    runs under the GIL, and the caches it guards are value-transparent.
+    """
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        for name in _attribute_names(node):
+            value = getattr(node, name, None)
+            fresh = _FRESH_LOCKS.get(type(value))
+            if fresh is not None:
+                setattr(node, name, fresh())
+            elif type(value).__module__.startswith("repro."):
+                stack.append(value)
 
 
 def map_shards(
@@ -426,12 +494,15 @@ def extract_batch_parallel(
     ``extractor.total_run_stats``.
 
     With ``result_cache_capacity`` set on the extractor config, each
-    shard worker runs its own *fresh* cache (the broadcast pickles the
-    cache as empty): repeats within one worker's shards hit, repeats
-    split across workers miss (a single worker therefore sees more hits
-    than a wide pool), and the per-shard ``result_cache_*`` stats merge
-    back additively. Values never depend on cache state, so caching
-    keeps ``workers=N`` bitwise-identical to ``workers=1``.
+    shard worker runs its own cache. A forked worker inherits the
+    caller's warm cache (and warm BPE and normalize caches) as it stood
+    at the fork; a spawned worker starts from an empty one (the
+    broadcast pickles the cache as empty). Repeats within one worker's
+    shards hit, repeats split across workers miss unless the caller's
+    cache already held them, what workers add never reaches the caller,
+    and the per-shard ``result_cache_*`` stats merge back additively.
+    Values never depend on cache state, so caching keeps ``workers=N``
+    bitwise-identical to ``workers=1``.
 
     A failing shard raises its own error, the lowest-indexed one first.
     It is typed: a foreign exception arrives as the

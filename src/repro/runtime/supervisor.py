@@ -3,10 +3,11 @@
 Every corpus run — journaled or not, sequential or pooled — executes
 through :func:`_run_segments`, and each segment (:class:`SegmentWork`)
 runs through one executor: on the caller's live host for a sequential
-run that is journaled or has one segment, otherwise on a copy restored
-from a once-per-run broadcast, in-process or in a
-:class:`PoolTransport` worker. A non-journaled run is a journaled run
-with an in-memory sink and no leases (DESIGN §6c).
+run that is journaled or has one segment, in :class:`PoolTransport`
+workers forked from that host for a pooled run, and otherwise on a copy
+restored from a once-per-run broadcast (a sequential multi-shard run,
+or a pooled run where fork is unavailable). A non-journaled run is a
+journaled run with an in-memory sink and no leases (DESIGN §6c).
 
 :mod:`repro.runtime.journal` makes committed work crash-safe; for
 journaled pooled runs a :class:`RunSupervisor` claims pending segments
@@ -61,10 +62,12 @@ from repro.runtime.errors import (
 )
 from repro.runtime.journal import RunJournal, input_digest
 from repro.runtime.parallel import (
+    PipelineBroadcast,
     _broadcast,
     _component,
     _fresh_run_state,
     _open_pool,
+    _renew_locks,
     broadcast_pipeline,
     estimate_report_cost,
     estimate_text_cost,
@@ -316,40 +319,87 @@ def _execute_segment(
 # -- the pool transport -------------------------------------------------------
 
 _WORKER_HOST: Any = None
+#: A forked worker's segments by index, inherited with the host.
+_WORKER_WORKS: dict[int, SegmentWork] = {}
+
+
+def _adopt_host(host: Any, works: dict[int, SegmentWork]) -> None:
+    """Fork-pool initializer: run on the inherited host, with fresh locks."""
+    global _WORKER_HOST, _WORKER_WORKS
+    _renew_locks(host)
+    _WORKER_HOST, _WORKER_WORKS = host, works
 
 
 def _init_worker(payload: bytes) -> None:
-    """Pool initializer: restore the broadcast host exactly once."""
+    """Spawn-pool initializer: restore the broadcast host exactly once."""
     global _WORKER_HOST
     _WORKER_HOST = restore_pipeline(pickle.loads(payload))
 
 
-def _run_segment_worker(work: SegmentWork) -> SegmentOutcome:
+def _run_segment_worker(work: SegmentWork | int) -> SegmentOutcome:
+    if isinstance(work, int):  # a forked worker already holds its segments
+        work = _WORKER_WORKS[work]
     return _execute_segment(_WORKER_HOST, work)
 
 
-class PoolTransport:
-    """Broadcast-initialized process pool with an async submit surface.
+def _broadcast_host(host: Any, kind: str) -> PipelineBroadcast:
+    # broadcast_pipeline is looked up in this module's namespace on
+    # every call, so a wrapper installed there sees each broadcast.
+    if kind == KIND_PIPELINE:
+        return broadcast_pipeline(host)
+    return _broadcast(host, ("",))
 
-    The broadcast ships once, at spawn, to every worker. ``submit``
-    returns the pool's ``AsyncResult`` handle; ``poll`` is non-blocking,
-    so the :class:`RunSupervisor` can hold leases over the handles.
+
+class PoolTransport:
+    """Process pool over one host with an async submit surface.
+
+    Where the platform can fork, the workers are forked from ``host``
+    itself and run on it copy-on-write, caches warm; they inherit
+    ``works`` too, so a submitted segment crosses the pipe as its index.
+    Nothing is pickled or restored, and a worker the pool replaces later
+    forks from the host as it is then, so the caller must leave it alone
+    until :meth:`close`. Elsewhere the host is broadcast once, at spawn,
+    to every worker and each segment is pickled to the worker that runs
+    it; ``broadcast_seconds``/``broadcast_bytes`` say what the broadcast
+    cost (0 on a fork). ``submit`` returns the pool's ``AsyncResult``
+    handle; ``poll`` is non-blocking, so the :class:`RunSupervisor` can
+    hold leases over the handles.
     Process-pool workers cannot heartbeat mid-segment (a segment is one
     call), so there is no ``heartbeat`` and lease expiry falls back to
     grant time + ``lease_timeout`` — size the timeout to cover a whole
     segment.
     """
 
-    def __init__(self, broadcast, *, workers: int) -> None:
+    def __init__(
+        self,
+        host: Any,
+        kind: str,
+        works: Sequence[SegmentWork],
+        *,
+        workers: int,
+    ) -> None:
         self.capacity = max(1, int(workers))
-        payload = pickle.dumps(broadcast, protocol=pickle.HIGHEST_PROTOCOL)
+        self.broadcast_seconds, self.broadcast_bytes = 0.0, 0
+        self._forked = True
+
+        def spawn() -> tuple:
+            self._forked = False
+            started = time.perf_counter()
+            broadcast = _broadcast_host(host, kind)
+            self.broadcast_seconds = time.perf_counter() - started
+            self.broadcast_bytes = broadcast.num_bytes
+            payload = pickle.dumps(broadcast, protocol=pickle.HIGHEST_PROTOCOL)
+            return _init_worker, (payload,)
+
+        inherited = {work.index: work for work in works}
         self._pool = _open_pool(
-            self.capacity, initializer=_init_worker, initargs=(payload,)
+            self.capacity, _adopt_host, (host, inherited), spawn=spawn
         )
         self._closed = False
 
     def submit(self, work: SegmentWork):
-        return self._pool.apply_async(_run_segment_worker, (work,))
+        task = work.index if self._forked else work
+        return self._pool.apply_async(_run_segment_worker, (task,))
 
     def poll(self, handle) -> SegmentOutcome | None:
         if not handle.ready():
@@ -702,29 +752,33 @@ def _run_segments(
 
     Every segment runs through :func:`_execute_segment`. A sequential
     run that is journaled or has a single segment runs on the caller's
-    live host; any other run broadcasts the host once and runs on
-    copies restored from that broadcast: in-process for ``workers<=1``,
-    in a :class:`PoolTransport` otherwise. With a ``journal``, each
-    segment commits as it settles, and pooled runs go through the
-    lease-supervised :class:`RunSupervisor`. Without one, the returned
-    outcomes are the only sink; there is nothing to re-grant into, so
-    there are no leases, and results settle in segment order — under
+    live host. A pooled run (``workers>1``, more than one segment) runs
+    in a :class:`PoolTransport` whose workers fork from that host, or,
+    where fork is unavailable, restore a copy from a once-per-run
+    broadcast. A sequential multi-shard run broadcasts and runs on one
+    restored copy in-process. With a ``journal``, each segment commits
+    as it settles, and pooled runs go through the lease-supervised
+    :class:`RunSupervisor`. Without one, the returned outcomes are the
+    only sink; there is nothing to re-grant into, so there are no
+    leases, and results settle in segment order — under
     ``on_error="raise"`` the lowest-indexed failure surfaces, as in a
     sequential run, and it is the live error the segment raised.
 
-    The live host is safe because serialized state restores
-    bitwise-identically, so skipping the broadcast round-trip cannot
-    change output; it saves the round-trip and keeps the host's BPE,
-    normalize and result caches warm. A rows run leaves the host's stats
-    to its own calls. A pipeline run gets a fresh run-scoped state
-    (quarantine, circuit breakers, ``last_run_stats``, fault injector)
-    once for the whole run, exactly what a broadcast copy starts with,
-    and the caller's own comes back afterwards; its segments' stats
-    merge as a broadcast run's do.
+    The live host, in-process or forked, is safe because serialized
+    state restores bitwise-identically, so skipping the broadcast
+    round-trip cannot change output; it saves the round-trip and keeps
+    the host's BPE, normalize and result caches warm. A sequential rows
+    run leaves the host's stats to its own calls. A pipeline run on the
+    live host gets a fresh run-scoped state (quarantine, circuit
+    breakers, ``last_run_stats``, fault injector) once for the whole
+    run, exactly what a broadcast copy starts with; forked workers are
+    forked inside it, and it is held until the pool has closed, so a
+    replacement worker forks from the same clean state. The caller's
+    own state comes back afterwards.
 
     Returns the settled outcomes in segment order plus execution stats;
-    apart from a live rows run, the outcomes' stats are merged back into
-    ``host`` (:func:`_merge_stats`).
+    apart from a live sequential rows run, the outcomes' stats are
+    merged back into ``host`` (:func:`_merge_stats`).
     """
     pooled = workers > 1 and len(works) > 1
     live = not pooled and (journal is not None or len(works) == 1)
@@ -740,37 +794,46 @@ def _run_segments(
                 host.fault_injector = saved_injector
         return settled, run
     started = time.perf_counter()
+    broadcast_seconds, broadcast_bytes = 0.0, 0
     if live:
         with _fresh_run_state(host):
             settled = _run_in_order(host, works, journal, drain_event)
-        broadcast_seconds, broadcast_bytes = 0.0, 0
+    elif pooled:
+        run_state = (
+            _fresh_run_state(host)
+            if kind == KIND_PIPELINE
+            else contextlib.nullcontext()
+        )
+        with run_state:
+            transport = PoolTransport(
+                host, kind, works, workers=min(workers, len(works))
+            )
+            try:
+                if journal is not None:
+                    supervisor = RunSupervisor(
+                        journal,
+                        transport,
+                        config=config,
+                        drain_event=drain_event,
+                    )
+                    supervisor.run(works)
+                    settled = supervisor.settled
+                    run = {"workers": workers, "supervised": True}
+                    run.update(supervisor.stats)
+                else:
+                    handles = [transport.submit(work) for work in works]
+                    settled = [
+                        _commit(handle.get(), None) for handle in handles
+                    ]
+                    run = {"workers": workers, "supervised": False}
+            finally:
+                transport.close(force=True)
+        broadcast_seconds = transport.broadcast_seconds
+        broadcast_bytes = transport.broadcast_bytes
     else:
-        # broadcast_pipeline is looked up in this module's namespace on
-        # every call, so a wrapper installed there sees each broadcast.
-        if kind == KIND_PIPELINE:
-            broadcast = broadcast_pipeline(host)
-        else:
-            broadcast = _broadcast(host, ("",))
+        broadcast = _broadcast_host(host, kind)
         broadcast_seconds = time.perf_counter() - started
         broadcast_bytes = broadcast.num_bytes
-    if pooled:
-        transport = PoolTransport(broadcast, workers=min(workers, len(works)))
-        try:
-            if journal is not None:
-                supervisor = RunSupervisor(
-                    journal, transport, config=config, drain_event=drain_event
-                )
-                supervisor.run(works)
-                settled = supervisor.settled
-                run = {"workers": workers, "supervised": True}
-                run.update(supervisor.stats)
-            else:
-                handles = [transport.submit(work) for work in works]
-                settled = [_commit(handle.get(), None) for handle in handles]
-                run = {"workers": workers, "supervised": False}
-        finally:
-            transport.close(force=True)
-    elif not live:
         local = restore_pipeline(broadcast)
         settled = _run_in_order(local, works, journal, drain_event)
     settled.sort(key=lambda outcome: outcome.index)
@@ -954,6 +1017,18 @@ def _run_journaled(
             journal=journal,
             config=config,
             drain_event=drain_event,
+        )
+    elif kind == KIND_PIPELINE:
+        # A fully replayed run executes nothing, and its summary says so.
+        _merge_stats(
+            host,
+            kind,
+            [],
+            mode=plan["mode"],
+            workers=workers,
+            wall=0.0,
+            broadcast_seconds=0.0,
+            broadcast_bytes=0,
         )
     journal.mark_complete()
     return DurableRunResult(
