@@ -52,6 +52,9 @@ STATUS_OK = "ok"  # transformer extraction succeeded
 STATUS_DEGRADED = "degraded"  # CRF fallback extraction
 STATUS_FAILED = "failed"  # flagged-empty details
 
+#: The fast path's per-report counters (``last_run_stats["per_report"]``).
+_PER_REPORT_KEYS = ("blocks", "detected_blocks", "extraction_units")
+
 
 @dataclasses.dataclass(frozen=True)
 class ExtractedRecord:
@@ -256,16 +259,20 @@ class GoalSpotter:
                     continue
                 usable.append(clean)
 
-        fast_path = True
+        fast_path, per_report = True, None
         with counters.timer("wall_seconds"):
             if mode == "raise":
-                records = self._run_corpus(usable, counters, guard=False)
+                records, per_report = self._run_corpus(
+                    usable, counters, guard=False
+                )
             else:
                 # Scratch counters: a fast path that dies mid-run must not
                 # leak partial block/timing counts into the real stats.
                 scratch = PerfCounters()
                 try:
-                    records = self._run_corpus(usable, scratch, guard=True)
+                    records, per_report = self._run_corpus(
+                        usable, scratch, guard=True
+                    )
                 except Exception:
                     # Batched fast path died: re-run with per-document
                     # isolation, retries, and the degradation ladder.
@@ -289,6 +296,7 @@ class GoalSpotter:
             records=records,
             fast_path=fast_path,
             quarantined=len(self.quarantine) - quarantined_before,
+            per_report=per_report,
         )
         return records
 
@@ -356,11 +364,17 @@ class GoalSpotter:
         reports: Sequence[SustainabilityReport],
         counters: PerfCounters,
         guard: bool,
-    ) -> list[ExtractedRecord]:
-        """The PR 1 corpus-batched run (one detect call, one extract call)."""
+    ) -> tuple[list[ExtractedRecord], dict[str, list[int]]]:
+        """The PR 1 corpus-batched run (one detect call, one extract call).
+
+        Returns the records and, per report in ``reports`` order, its
+        ``blocks``, ``detected_blocks`` and ``extraction_units`` (one
+        record per unit, so these also say which records are whose).
+        """
         block_texts: list[str] = []
         provenance: list[tuple[str, str, int, int | None]] = []
-        for report in reports:
+        block_report: list[int] = []
+        for position, report in enumerate(reports):
             year = getattr(report, "reporting_year", None)
             for page_index, page in enumerate(report.pages):
                 for block in page.blocks:
@@ -368,8 +382,10 @@ class GoalSpotter:
                     provenance.append(
                         (report.company, report.report_id, page_index, year)
                     )
+                    block_report.append(position)
         if not block_texts:
-            return []
+            empty = [0] * len(reports)
+            return [], dict.fromkeys(_PER_REPORT_KEYS, empty)
         counters.add("blocks", len(block_texts))
         with counters.timer("detect_seconds"), self._guard(guard):
             if self.fault_injector is not None:
@@ -402,7 +418,17 @@ class GoalSpotter:
                     reporting_year=year,
                 )
             )
-        return records
+        owner = np.asarray(block_report, dtype=np.intp)
+        chosen = (
+            owner,
+            owner[detected],
+            owner[np.asarray(unit_block, dtype=np.intp)],
+        )
+        per_report = {
+            key: np.bincount(blocks, minlength=len(reports)).tolist()
+            for key, blocks in zip(_PER_REPORT_KEYS, chosen)
+        }
+        return records, per_report
 
     # -- per-document resilient path -----------------------------------------
 
@@ -559,6 +585,7 @@ class GoalSpotter:
         records: list[ExtractedRecord],
         fast_path: bool,
         quarantined: int,
+        per_report: dict[str, list[int]] | None,
     ) -> None:
         wall = counters.get("wall_seconds")
         blocks = int(counters.get("blocks"))
@@ -589,6 +616,8 @@ class GoalSpotter:
             "extractor": (
                 extractor_stats.as_dict() if extractor_stats else None
             ),
+            # Per report the fast path ran (None after isolation).
+            "per_report": per_report,
         }
 
     @staticmethod

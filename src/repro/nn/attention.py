@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nn.functional import masked_softmax
 from repro.nn.layers import Dropout, Linear
-from repro.nn.module import Module, is_inference
+from repro.nn.module import Module, bump_mode_epoch, is_inference
 
 
 class MultiHeadSelfAttention(Module):
@@ -71,11 +71,13 @@ class MultiHeadSelfAttention(Module):
                 f"match {expected}"
             )
         self._quant_fused = tensor
+        bump_mode_epoch()
 
     def detach_quantized_fused(self) -> bool:
         """Remove the fused int8 tensor; True when one was attached."""
         had = self._quant_fused is not None
         self._quant_fused = None
+        bump_mode_epoch()
         return had
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
@@ -149,7 +151,10 @@ class MultiHeadSelfAttention(Module):
         else:
             fused_weight, fused_bias = self._fused_qkv_weights()
             qkv = x @ fused_weight + fused_bias  # single GEMM for Q, K, V
-        raw_q, raw_k, raw_v = np.split(qkv, 3, axis=-1)
+        dim = self.dim
+        raw_q, raw_k, raw_v = (
+            qkv[..., :dim], qkv[..., dim : 2 * dim], qkv[..., 2 * dim :]
+        )
         queries = self._split_heads(raw_q)
         keys = self._split_heads(raw_k)
         values = self._split_heads(raw_v)
@@ -223,8 +228,11 @@ class MultiHeadSelfAttention(Module):
         flat_dfused = dfused.reshape(-1, 3 * self.dim)
         dweight = flat_x.T @ flat_dfused  # (D, 3D)
         dbias = flat_dfused.sum(axis=0)
-        dq_w, dk_w, dv_w = np.split(dweight, 3, axis=1)
-        dq_b, dk_b, dv_b = np.split(dbias, 3)
+        dim = self.dim
+        dq_w, dk_w, dv_w = (
+            dweight[:, :dim], dweight[:, dim : 2 * dim], dweight[:, 2 * dim :]
+        )
+        dq_b, dk_b, dv_b = dbias[:dim], dbias[dim : 2 * dim], dbias[2 * dim :]
         self.query_proj.weight.grad += dq_w
         self.key_proj.weight.grad += dk_w
         self.value_proj.weight.grad += dv_w

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.module import Module, Parameter, is_inference
+from repro.nn.module import Module, Parameter, bump_mode_epoch, is_inference
 
 
 class Linear(Module):
@@ -58,11 +58,13 @@ class Linear(Module):
                 f"weight {self.weight.value.shape}"
             )
         self._quant = tensor
+        bump_mode_epoch()
 
     def detach_quantized(self) -> bool:
         """Remove the int8 tensor; True when one was attached."""
         had = self._quant is not None
         self._quant = None
+        bump_mode_epoch()
         return had
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -120,6 +122,15 @@ class Embedding(Module):
         return None
 
 
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)`` without its Python wrapper:
+    the same reduction and the same division numpy's ``_mean`` makes."""
+    total = np.add.reduce(x, axis=-1, keepdims=True)
+    return np.true_divide(
+        total, np.intp(x.shape[-1]), out=total, casting="unsafe"
+    )
+
+
 class LayerNorm(Module):
     """Layer normalization over the last axis with learned scale/shift."""
 
@@ -133,8 +144,8 @@ class LayerNorm(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         # Center once: the same sum and division as ``x.var``, which would
         # recompute the mean and the subtraction.
-        x_hat = x - x.mean(axis=-1, keepdims=True)
-        var = np.square(x_hat).mean(axis=-1, keepdims=True)
+        x_hat = x - _mean_last(x)
+        var = _mean_last(np.square(x_hat))
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat *= inv_std
         self._cache = None if is_inference() else (x_hat, inv_std, x)
@@ -154,8 +165,8 @@ class LayerNorm(Module):
         # Standard layernorm backward over the last axis.
         dx = (
             dx_hat
-            - dx_hat.mean(axis=-1, keepdims=True)
-            - x_hat * (dx_hat * x_hat).mean(axis=-1, keepdims=True)
+            - _mean_last(dx_hat)
+            - x_hat * _mean_last(dx_hat * x_hat)
         ) * inv_std
         # Keep dim referenced for clarity of the formula above.
         del dim

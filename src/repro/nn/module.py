@@ -14,18 +14,29 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import threading
 from collections.abc import Iterator
 
 import numpy as np
 
 from repro.nn import precision
 
-_inference_depth = 0
+
+class _ModeDepths(threading.local):
+    """Per-thread nesting depths of :func:`inference_mode` and
+    :func:`numeric_guard`: a serving thread inside one must not switch
+    it on for a training thread next to it."""
+
+    inference = 0
+    numeric_guard = 0
+
+
+_depths = _ModeDepths()
 
 
 def is_inference() -> bool:
-    """True inside an :func:`inference_mode` block."""
-    return _inference_depth > 0
+    """True inside an :func:`inference_mode` block on this thread."""
+    return _depths.inference > 0
 
 
 @contextlib.contextmanager
@@ -35,23 +46,21 @@ def inference_mode() -> Iterator[None]:
     Unlike ``Module.eval()`` (which only changes layer *behaviour*, e.g.
     turning dropout into the identity), inference mode promises that no
     ``backward`` will follow, so ``forward`` skips storing activations and
-    masks entirely. Re-entrant; calling ``backward`` after a forward run
-    under inference mode raises "backward called before forward".
+    masks entirely. Re-entrant and per thread; calling ``backward`` after
+    a forward run under inference mode raises "backward called before
+    forward".
     """
-    global _inference_depth
-    _inference_depth += 1
+    depths = _depths
+    depths.inference += 1
     try:
         yield
     finally:
-        _inference_depth -= 1
-
-
-_numeric_guard_depth = 0
+        depths.inference -= 1
 
 
 def numeric_guard_active() -> bool:
-    """True inside a :func:`numeric_guard` block."""
-    return _numeric_guard_depth > 0
+    """True inside a :func:`numeric_guard` block on this thread."""
+    return _depths.numeric_guard > 0
 
 
 @contextlib.contextmanager
@@ -63,14 +72,14 @@ def numeric_guard() -> Iterator[None]:
     :class:`repro.runtime.errors.NumericalError` otherwise, so a poisoned
     activation surfaces as a classified, retryable stage failure instead
     of silently corrupting every downstream record. Off by default: the
-    clean path pays nothing. Re-entrant.
+    clean path pays nothing. Re-entrant and per thread.
     """
-    global _numeric_guard_depth
-    _numeric_guard_depth += 1
+    depths = _depths
+    depths.numeric_guard += 1
     try:
         yield
     finally:
-        _numeric_guard_depth -= 1
+        depths.numeric_guard -= 1
 
 
 def guard_finite(array: np.ndarray, context: str) -> np.ndarray:
@@ -79,7 +88,7 @@ def guard_finite(array: np.ndarray, context: str) -> np.ndarray:
     A no-op (and free) outside :func:`numeric_guard` blocks. Returns the
     array so call sites can wrap their return expression.
     """
-    if _numeric_guard_depth > 0 and not np.all(np.isfinite(array)):
+    if _depths.numeric_guard > 0 and not np.all(np.isfinite(array)):
         # Imported lazily: repro.runtime imports this module at package
         # init, so a top-level import here would be circular.
         from repro.runtime.errors import NumericalError
@@ -89,6 +98,28 @@ def guard_finite(array: np.ndarray, context: str) -> np.ndarray:
             f"non-finite values ({bad} element(s)) in {context}"
         )
     return array
+
+
+#: Stands for the current training flags and quantized tensors of every
+#: module in the process. Replaced (never mutated) whenever a flag may
+#: have turned on or a quantized tensor was attached or detached, so a
+#: walk memoised against it is valid while it is still the same object.
+#: A token is an identity, so a memo that crossed a pickle or a deep copy
+#: never matches; a forked child shares its parent's modules and memos.
+_mode_epoch = object()
+
+
+def mode_epoch() -> object:
+    """The current mode epoch; read it *before* the walk it memoises."""
+    return _mode_epoch
+
+
+def bump_mode_epoch() -> None:
+    """Invalidate every :meth:`Module.eval` and ``quantization_state``
+    memo: call it after a training flag turns on or a quantized tensor
+    is attached or detached."""
+    global _mode_epoch
+    _mode_epoch = object()
 
 
 class Parameter:
@@ -114,6 +145,7 @@ class Module:
 
     def __init__(self) -> None:
         self.training = True
+        bump_mode_epoch()  # a new module may join a tree already in eval
         self._state_version = 0
         self._fingerprint_cache: tuple[int, str] | None = None
 
@@ -155,13 +187,24 @@ class Module:
         """Switch this module and all descendants to training mode."""
         for module in self.modules():
             module.training = True
+        bump_mode_epoch()
         self.bump_state_version()
         return self
 
     def eval(self) -> "Module":
-        """Switch this module and all descendants to inference mode."""
+        """Switch this module and all descendants to inference mode.
+
+        Memoised: a repeat call walks the tree again only after the mode
+        epoch moved (some module was built or put in training mode since).
+        Switching flags off cannot undo another tree's memo, so this
+        walk does not move the epoch.
+        """
+        epoch = _mode_epoch
+        if getattr(self, "_eval_epoch", None) is epoch:
+            return self
         for module in self.modules():
             module.training = False
+        self._eval_epoch = epoch
         return self
 
     def zero_grad(self) -> None:

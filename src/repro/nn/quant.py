@@ -39,7 +39,7 @@ import numpy as np
 from repro.nn import precision
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import Linear
-from repro.nn.module import Module
+from repro.nn.module import Module, mode_epoch
 
 __all__ = [
     "EquivalenceReport",
@@ -192,15 +192,24 @@ def quantization_state(module: Module) -> str | None:
     This is the *variant* component of the result-cache key: the same
     weights produce different (bounded-delta) outputs under the int8
     path, so cached fp32 and int8 results must never share entries.
+    Memoised against the mode epoch, which every attach and detach moves.
     """
+    epoch = mode_epoch()
+    memo = getattr(module, "_quantization_memo", None)
+    if memo is not None and memo[0] is epoch:
+        return memo[1]
+    state = None
     for child in module.modules():
         if isinstance(child, MultiHeadSelfAttention):
             if child._quant_fused is not None:
-                return INT8
+                state = INT8
+                break
         elif isinstance(child, Linear):
             if child._quant is not None:
-                return INT8
-    return None
+                state = INT8
+                break
+    module._quantization_memo = (epoch, state)
+    return state
 
 
 # -- the equivalence gate ------------------------------------------------------

@@ -7,7 +7,9 @@ run that is journaled or has one segment, in :class:`PoolTransport`
 workers forked from that host for a pooled run, and otherwise on a copy
 restored from a once-per-run broadcast (a sequential multi-shard run,
 or a pooled run where fork is unavailable). A non-journaled run is a
-journaled run with an in-memory sink and no leases (DESIGN §6c).
+journaled run with an in-memory sink and no leases (DESIGN §6c). A
+sequential journaled pipeline run computes consecutive segments as one
+window and still commits them one by one.
 
 :mod:`repro.runtime.journal` makes committed work crash-safe; for
 journaled pooled runs a :class:`RunSupervisor` claims pending segments
@@ -249,6 +251,33 @@ def _rows_segment(host: Any, work: SegmentWork) -> list[dict]:
     return payloads
 
 
+@contextlib.contextmanager
+def _isolated_stats(host: Any, kind: str, isolate: bool):
+    """Measure the block's model stats alone; yield them, filled on exit.
+
+    Each component's ``RunStats`` are zeroed for the block and then put
+    back, so :func:`_merge_stats` folds every segment in exactly once
+    whether it ran on a copy or on the caller's host. ``isolate=False``
+    leaves them to the host's own calls, which keep them current, and
+    measures none.
+    """
+    owners = _stats_owners(host, kind) if isolate else {}
+    saved = {
+        name: (owner.last_run_stats, owner.total_run_stats)
+        for name, owner in owners.items()
+    }
+    for owner in owners.values():
+        owner.total_run_stats = RunStats()
+        owner.last_run_stats = None
+    measured: dict[str, RunStats] = {}
+    try:
+        yield measured
+    finally:
+        for name, owner in owners.items():
+            measured[name] = owner.total_run_stats
+            owner.last_run_stats, owner.total_run_stats = saved[name]
+
+
 def _execute_segment(
     host: Any, work: SegmentWork, *, isolate: bool = True
 ) -> SegmentOutcome:
@@ -258,55 +287,38 @@ def _execute_segment(
     seed, a fresh quarantine for the pipeline kind — so a segment's
     outcome depends only on its inputs and the host's fitted state,
     never on pool scheduling or on which attempt produced it. Failures
-    come back as typed payloads plus the live error.
-
-    ``isolate=True`` measures the segment's model stats alone: each
-    component's ``RunStats`` are zeroed for the segment, reported as
-    ``model_stats`` and then put back, so :func:`_merge_stats` folds
-    every segment in exactly once whether it ran on a copy or on the
-    caller's host. ``isolate=False`` leaves them to the host's own
-    calls, which keep them current, and reports none.
+    come back as typed payloads plus the live error. ``isolate`` is as
+    in :func:`_isolated_stats`.
     """
-    owners = _stats_owners(host, work.kind) if isolate else {}
-    saved = {
-        name: (owner.last_run_stats, owner.total_run_stats)
-        for name, owner in owners.items()
-    }
-    for owner in owners.values():
-        owner.total_run_stats = RunStats()
-        owner.last_run_stats = None
-    if hasattr(host, "fault_injector"):
-        host.fault_injector = (
-            FaultInjector(work.specs, seed=work.seed) if work.specs else None
-        )
-    try:
-        if work.kind == KIND_PIPELINE:
-            from repro.goalspotter.pipeline import record_to_payload
-
-            host.quarantine = QuarantineQueue()
-            records = host.process_reports(
-                list(work.items), on_error=work.mode, workers=1
+    with _isolated_stats(host, work.kind, isolate) as model_stats:
+        if hasattr(host, "fault_injector"):
+            host.fault_injector = (
+                FaultInjector(work.specs, seed=work.seed)
+                if work.specs
+                else None
             )
-            rows = [record_to_payload(record) for record in records]
-            quarantine = host.quarantine.as_dicts()
-        else:
-            rows, quarantine = _rows_segment(host, work), []
-    except ReproError as error:
-        payload = error.context()
-        payload["retryable"] = error.retryable
-        return SegmentOutcome(
-            index=work.index,
-            rows=[],
-            quarantine=[],
-            error=payload,
-            exception=error,
-        )
-    finally:
-        model_stats = {
-            name: owner.total_run_stats for name, owner in owners.items()
-        }
-        for name, owner in owners.items():
-            owner.last_run_stats, owner.total_run_stats = saved[name]
+        try:
+            if work.kind == KIND_PIPELINE:
+                from repro.goalspotter.pipeline import record_to_payload
+
+                host.quarantine = QuarantineQueue()
+                records = host.process_reports(
+                    list(work.items), on_error=work.mode, workers=1
+                )
+                rows = [record_to_payload(record) for record in records]
+                quarantine = host.quarantine.as_dicts()
+            else:
+                rows, quarantine = _rows_segment(host, work), []
+        except ReproError as error:
+            payload = error.context()
+            payload["retryable"] = error.retryable
+            return SegmentOutcome(
+                index=work.index,
+                rows=[],
+                quarantine=[],
+                error=payload,
+                exception=error,
+            )
     return SegmentOutcome(
         index=work.index,
         rows=rows,
@@ -314,6 +326,138 @@ def _execute_segment(
         stats=host.last_run_stats if work.kind == KIND_PIPELINE else None,
         model_stats=model_stats,
     )
+
+
+# -- windows: one batched call over consecutive segments ----------------------
+
+#: A window of consecutive segments closes at the segment boundary where
+#: it first holds this many blocks. Chosen from a sweep on the scale-1.0
+#: Table 5 corpus (DESIGN §6c): pass time falls until about this size and
+#: is flat beyond it, while the compute a crash can lose keeps growing
+#: with it.
+WINDOW_BLOCKS = 16384
+
+
+def _windows(works: Sequence[SegmentWork]) -> list[list[SegmentWork]]:
+    """Consecutive pipeline ``works`` grouped into windows of about
+    :data:`WINDOW_BLOCKS` blocks.
+
+    One segment each when any work carries fault specs, so injected
+    faults keep their per-segment seeds, and for the rows kinds, whose
+    live runs leave ``last_run_stats`` describing the host's last call
+    — one segment's.
+    """
+    if any(work.specs or work.kind != KIND_PIPELINE for work in works):
+        return [[work] for work in works]
+    windows: list[list[SegmentWork]] = []
+    window: list[SegmentWork] = []
+    blocks = 0
+    for work in works:
+        window.append(work)
+        blocks += sum(
+            len(page.blocks) for report in work.items for page in report.pages
+        )
+        if blocks >= WINDOW_BLOCKS:
+            windows.append(window)
+            window, blocks = [], 0
+    if window:
+        windows.append(window)
+    return windows
+
+
+def _window_stats(window: dict, tally: dict) -> dict:
+    """One segment's share of a window's ``last_run_stats``: its own
+    counters, and the window's timings in proportion to its blocks —
+    what running the segment alone reports, but for the timings."""
+    blocks = sum(tally["blocks"])
+    share = blocks / window["blocks"]
+    units = sum(tally["extraction_units"])
+    return {
+        **window,
+        "wall_seconds": window["wall_seconds"] * share,
+        "detect_seconds": window["detect_seconds"] * share,
+        "extract_seconds": window["extract_seconds"] * share,
+        "blocks": blocks,
+        "detected_blocks": sum(tally["detected_blocks"]),
+        "extraction_units": units,
+        "records": units,
+        "per_report": tally,
+    }
+
+
+def _pipeline_window(
+    host: Any, works: Sequence[SegmentWork]
+) -> list[SegmentOutcome] | None:
+    """One ``process_reports`` call over the window, split per segment by
+    report position (report ids may repeat); None unless it took the
+    fast path with no quarantine and no sanitized block."""
+    from repro.goalspotter.pipeline import record_to_payload
+
+    mode = works[0].mode
+    with _fresh_run_state(host):
+        records = host.process_reports(
+            [report for work in works for report in work.items],
+            on_error=mode,
+            workers=1,
+        )
+        stats, quarantined = host.last_run_stats, len(host.quarantine)
+    # Every report that passes validation or sanitizing has a block, so
+    # an accepted window has stats and every segment's share has blocks.
+    if quarantined or not stats["fast_path"] or stats["sanitized_blocks"]:
+        return None
+    per_report = stats["per_report"]
+    outcomes: list[SegmentOutcome] = []
+    first_report = first_record = 0
+    for work in works:
+        stop = first_report + len(work.items)
+        tally = {key: per_report[key][first_report:stop] for key in per_report}
+        count = sum(tally["extraction_units"])
+        segment_stats = _window_stats(stats, tally)
+        if outcomes:
+            # The extractor's call stats are the window's; the first
+            # segment carries them, as it carries the model stats.
+            segment_stats["extractor"] = None
+        outcomes.append(
+            SegmentOutcome(
+                index=work.index,
+                rows=[
+                    record_to_payload(record)
+                    for record in records[first_record : first_record + count]
+                ],
+                quarantine=[],
+                stats=segment_stats,
+            )
+        )
+        first_report, first_record = stop, first_record + count
+    return outcomes
+
+
+def _execute_window(
+    host: Any, works: Sequence[SegmentWork], *, isolate: bool = True
+) -> list[SegmentOutcome] | None:
+    """Run consecutive segments as one batched call, one outcome each.
+
+    A single segment runs through :func:`_execute_segment`. A pipeline
+    window is accepted only when every report came through the fast
+    path with nothing quarantined or sanitized; otherwise — a failure
+    of any kind included — it returns None and leaves no trace on the
+    host's run state or model stats, and the caller runs its segments
+    one by one, exactly as they ran before windows existed. An accepted
+    window's model stats ride on its first outcome, so the merged stats
+    sum them once.
+    """
+    if len(works) == 1:
+        return [_execute_segment(host, works[0], isolate=isolate)]
+    with _isolated_stats(host, KIND_PIPELINE, isolate) as model_stats:
+        try:
+            outcomes = _pipeline_window(host, works)
+        except Exception:
+            # Whatever failed fails again when the segments run alone,
+            # where the ladder handles or raises it as it always has.
+            outcomes = None
+    if outcomes is not None:
+        outcomes[0].model_stats = model_stats
+    return outcomes
 
 
 # -- the pool transport -------------------------------------------------------
@@ -728,13 +872,31 @@ def _run_in_order(
     *,
     isolate: bool = True,
 ) -> list[SegmentOutcome]:
-    """Execute ``works`` one after another in-process, settling each."""
+    """Execute ``works`` in-process, in order, settling each segment.
+
+    A journaled run computes consecutive segments as one window
+    (:func:`_windows`, :func:`_execute_window`) and then commits them one
+    by one, so the journal — its plan, identity, commit order and commit
+    sites — is the same as when every segment ran alone; only the
+    compute is batched. A window that is not accepted falls back to its
+    segments one at a time. A drain request is checked before each
+    window: a window already computed commits its segments first. A run
+    without a journal has no commit unit to batch across and runs its
+    segments one by one.
+    """
+    pending = deque(
+        _windows(works) if journal is not None else [[w] for w in works]
+    )
     settled = []
-    for work in works:
+    while pending:
+        window = pending.popleft()
         if drain_event is not None and drain_event.is_set():
             raise _drained(journal)
-        outcome = _execute_segment(host, work, isolate=isolate)
-        settled.append(_commit(outcome, journal))
+        outcomes = _execute_window(host, window, isolate=isolate)
+        if outcomes is None:
+            pending.extendleft([work] for work in reversed(window))
+            continue
+        settled.extend(_commit(outcome, journal) for outcome in outcomes)
     return settled
 
 
@@ -750,10 +912,14 @@ def _run_segments(
 ) -> tuple[list[SegmentOutcome], dict]:
     """Execute ``works``: the one code path that runs corpus work.
 
-    Every segment runs through :func:`_execute_segment`. A sequential
-    run that is journaled or has a single segment runs on the caller's
-    live host. A pooled run (``workers>1``, more than one segment) runs
-    in a :class:`PoolTransport` whose workers fork from that host, or,
+    Every segment runs through :func:`_execute_segment`, or as part of a
+    window (:func:`_execute_window`). A sequential run that is journaled
+    or has a single segment runs on the caller's live host; a journaled
+    one computes consecutive pipeline segments in windows of about
+    :data:`WINDOW_BLOCKS` blocks, one ``process_reports`` call each, and
+    commits them segment by segment (:func:`_run_in_order`). A pooled
+    run (``workers>1``, more than one segment) runs in a
+    :class:`PoolTransport` whose workers fork from that host, or,
     where fork is unavailable, restore a copy from a once-per-run
     broadcast. A sequential multi-shard run broadcasts and runs on one
     restored copy in-process. With a ``journal``, each segment commits
