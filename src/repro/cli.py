@@ -223,27 +223,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         print("either --text or --input is required", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    if args.quantize:
-        if task.kind != "extraction":
-            print(
-                "error: --quantize applies to extraction tasks only",
-                file=sys.stderr,
-            )
-            return EXIT_INPUT_ERROR
-        try:
-            report = extractor.enable_quantization(
-                mode=args.quantize, calibration_texts=texts[:32]
-            )
-        except ReproError as error:
-            print(
-                f"error [{type(error).__name__}]: {error}", file=sys.stderr
-            )
-            return _exit_code_for(error)
-        print(
-            json.dumps({"quantization_gate": report.as_dict()}),
-            file=sys.stderr,
-        )
-
     policy = RetryPolicy(max_retries=args.max_retries)
     skipped = 0
     degraded = 0
@@ -725,12 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="content-addressed result cache entries (0 disables; repeated "
         "inputs are served bitwise-identically without a forward pass)",
-    )
-    extract.add_argument(
-        "--quantize",
-        choices=["int8"],
-        help="enable the int8 encoder path, gated on an equivalence check "
-        "over the inputs (refuses — exit 3 — if any top label changes)",
     )
     extract.add_argument(
         "--stats",

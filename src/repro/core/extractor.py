@@ -52,7 +52,7 @@ from repro.runtime.checkpoint import (
     verify_manifest,
     write_manifest,
 )
-from repro.runtime.errors import ArtifactError, QuantizationError
+from repro.runtime.errors import ArtifactError
 from repro.runtime.profiling import PerfCounters, RunStats
 from repro.runtime.rescache import ResultCache
 from repro.text.bpe import BpeTokenizer
@@ -95,11 +95,6 @@ class ExtractorConfig:
     #: pre-runtime behaviour).
     batching: str = "bucketed"
     token_budget: int = 4096
-    #: Numeric inference path: ``None`` keeps fp32; ``"int8"`` attaches the
-    #: quantized encoder path on first use (raw switch — the *gated* entry
-    #: point is :meth:`WeakSupervisionExtractor.enable_quantization`, which
-    #: only flips this after the equivalence gate passes).
-    quantize: str | None = None
     #: Content-addressed result cache over ``predict_logits``: 0 disables
     #: it (the default — identical behaviour to earlier releases), any
     #: positive value bounds the number of cached per-sequence results.
@@ -123,10 +118,6 @@ class ExtractorConfig:
             )
         if self.token_budget <= 0:
             raise ValueError("token_budget must be positive")
-        if self.quantize not in (None, "int8"):
-            raise ValueError(
-                f"unknown quantize mode {self.quantize!r}; use None or 'int8'"
-            )
         if self.result_cache_capacity < 0:
             raise ValueError("result_cache_capacity must be >= 0")
 
@@ -386,83 +377,6 @@ class WeakSupervisionExtractor(DetailExtractor):
             self._result_cache_key = wanted
         return self._result_cache
 
-    def _apply_config_quantization(self) -> None:
-        """Make the model's numeric path match ``config.quantize``.
-
-        Re-applied per extract call because quantized tensors are derived
-        state: the parallel runtime's broadcast rebuilds models from fp32
-        weights, so shard copies re-attach here (ungated — the gate ran
-        on the owner against the same weight bytes).
-        """
-        from repro.nn.quant import quantization_state
-
-        state = quantization_state(self.model)
-        if self.config.quantize is not None and state is None:
-            self.model.enable_quantization(self.config.quantize)
-        elif self.config.quantize is None and state is not None:
-            self.model.disable_quantization()
-
-    def enable_quantization(
-        self,
-        mode: str = "int8",
-        calibration_texts: Sequence[str] | None = None,
-        max_score_delta: float = 0.5,
-    ):
-        """Gated opt-in to the int8 encoder path.
-
-        Runs the fp32 baseline on ``calibration_texts``, attaches the
-        quantized tensors, re-runs, and compares with
-        :func:`repro.nn.quant.equivalence_report`: every prediction must
-        keep its top label at every position and the largest logit delta
-        must stay within ``max_score_delta``. On failure the model is
-        restored to fp32 and :class:`QuantizationError` is raised — the
-        path never silently degrades extractions. Returns the (passing)
-        report; on success ``config.quantize`` is flipped so saves,
-        parallel broadcasts, and later calls keep the path.
-        """
-        if self.model is None or self.tokenizer is None:
-            raise RuntimeError("extractor is not fitted; call fit() first")
-        if calibration_texts is None or not list(calibration_texts):
-            raise ValueError("calibration_texts must be non-empty")
-        sequences = []
-        for text in calibration_texts:
-            tokens = self.word_tokenizer.tokenize(self._normalize(text))
-            if not tokens:
-                continue
-            encoding = self.tokenizer.encode(
-                [token.text for token in tokens]
-            )
-            sequences.append(list(encoding.ids))
-        if not sequences:
-            raise ValueError(
-                "calibration_texts produced no token sequences"
-            )
-        from repro.nn.quant import equivalence_report
-
-        self.model.disable_quantization()
-        baseline = self.model.predict_logits(sequences)
-        self.model.enable_quantization(mode)
-        candidate = self.model.predict_logits(sequences)
-        report = equivalence_report(baseline, candidate, max_score_delta)
-        if not report.passed:
-            self.model.disable_quantization()
-            self.config = dataclasses.replace(self.config, quantize=None)
-            raise QuantizationError(
-                f"int8 equivalence gate failed: "
-                f"{report.top_label_matches}/{report.total} top labels "
-                f"match, max |delta| {report.max_abs_delta:.6g} "
-                f"(bound {report.bound:.6g})",
-                stage="quantize",
-            )
-        self.config = dataclasses.replace(self.config, quantize=mode)
-        return report
-
-    def disable_quantization(self) -> None:
-        """Return to the bitwise-fp32 inference path."""
-        self.config = dataclasses.replace(self.config, quantize=None)
-        if self.model is not None:
-            self.model.disable_quantization()
-
     def _predict_kwargs(self, counters: PerfCounters) -> dict:
         bucketed = self.config.batching == "bucketed"
         return {
@@ -475,7 +389,6 @@ class WeakSupervisionExtractor(DetailExtractor):
     def extract_batch(self, texts: Sequence[str]) -> list[dict[str, str]]:
         if self.model is None or self.tokenizer is None:
             raise RuntimeError("extractor is not fitted; call fit() first")
-        self._apply_config_quantization()
         counters = PerfCounters()
         cache_before = self.tokenizer.cache_info()
         with counters.timer("wall_seconds"):
@@ -609,6 +522,10 @@ class WeakSupervisionExtractor(DetailExtractor):
         )
         artifacts = (manifest or {}).get("artifacts", {})
         payload = read_json(directory / "config.json")
+        # Older saves carry a ``quantize`` key (null or "int8") from the
+        # removed int8 path; their weights are the fp32 masters, so they
+        # load as fp32.
+        payload.pop("quantize", None)
         try:
             finetune = FineTuneConfig(**payload.pop("finetune"))
             payload["fields"] = tuple(payload["fields"])

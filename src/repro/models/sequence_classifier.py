@@ -84,23 +84,6 @@ class SequenceClassifier(Module):
         self.backward(dlogits)
         return loss
 
-    def enable_quantization(self, mode: str = "int8") -> int:
-        """Attach the int8 inference path (see :mod:`repro.nn.quant`).
-
-        Ungated at this level — integration layers that own calibration
-        data wrap this in the top-label equivalence gate. Returns the
-        number of quantized attachment points.
-        """
-        from repro.nn.quant import quantize_module
-
-        return quantize_module(self, mode)
-
-    def disable_quantization(self) -> int:
-        """Detach the int8 path, restoring bitwise-fp32 forwards."""
-        from repro.nn.quant import dequantize_module
-
-        return dequantize_module(self)
-
     def predict_proba(
         self,
         sequences: list[list[int]],
@@ -119,9 +102,9 @@ class SequenceClassifier(Module):
         classifier (token budget defaults to ``batch_size * max_len``);
         rows come back in the original sequence order. With ``cache``,
         probability rows are also looked up by content key (ids + model
-        fingerprint + quantization variant) so they carry over *across*
-        calls; width-invariant pooling makes hits and copies
-        bitwise-identical to a full uncached run.
+        fingerprint) so they carry over *across* calls; width-invariant
+        pooling makes hits and copies bitwise-identical to a full uncached
+        run.
         """
         from repro.nn.functional import softmax
 

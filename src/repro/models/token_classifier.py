@@ -73,24 +73,6 @@ class TokenClassifier(Module):
         self.backward(dflat.reshape(batch, time, num_labels))
         return loss
 
-    def enable_quantization(self, mode: str = "int8") -> int:
-        """Attach the int8 inference path (see :mod:`repro.nn.quant`).
-
-        Ungated at this level — integration layers that own calibration
-        data (``WeakSupervisionExtractor.enable_quantization``, the CLI)
-        wrap this in the top-label equivalence gate. Returns the number
-        of quantized attachment points.
-        """
-        from repro.nn.quant import quantize_module
-
-        return quantize_module(self, mode)
-
-    def disable_quantization(self) -> int:
-        """Detach the int8 path, restoring bitwise-fp32 forwards."""
-        from repro.nn.quant import dequantize_module
-
-        return dequantize_module(self)
-
     def predict_logits(
         self,
         sequences: list[list[int]],
@@ -115,8 +97,7 @@ class TokenClassifier(Module):
 
         With ``cache`` (a :class:`~repro.runtime.rescache.ResultCache`),
         each sequence is first looked up by content key — normalized ids
-        + model fingerprint + quantization variant — so results also carry
-        over *across* calls. Packing invariance makes cache hits
+        + model fingerprint — so results also carry over *across* calls. Packing invariance makes cache hits
         bitwise-identical to a full uncached run. Counter meanings are in
         :func:`~repro.runtime.scheduler.predict_distinct`.
         """

@@ -28,16 +28,6 @@ from repro.nn.optim import (
     clip_grad_norm,
 )
 from repro.nn.batching import iterate_minibatches, pad_sequences
-from repro.nn.quant import (
-    EquivalenceReport,
-    QuantizedTensor,
-    dequantize_module,
-    dequantize_weight,
-    equivalence_report,
-    quantization_state,
-    quantize_module,
-    quantize_weight,
-)
 
 __all__ = [
     "Adam",
@@ -45,7 +35,6 @@ __all__ = [
     "Dropout",
     "Embedding",
     "EncoderConfig",
-    "EquivalenceReport",
     "FeedForward",
     "LayerNorm",
     "Linear",
@@ -53,19 +42,12 @@ __all__ = [
     "Module",
     "MultiHeadSelfAttention",
     "Parameter",
-    "QuantizedTensor",
     "TransformerEncoder",
     "TransformerEncoderLayer",
     "clip_grad_norm",
     "cross_entropy",
-    "dequantize_module",
-    "dequantize_weight",
-    "equivalence_report",
     "inference_mode",
     "is_inference",
     "iterate_minibatches",
     "pad_sequences",
-    "quantization_state",
-    "quantize_module",
-    "quantize_weight",
 ]

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nn.functional import masked_softmax
 from repro.nn.layers import Dropout, Linear
-from repro.nn.module import Module, bump_mode_epoch, is_inference
+from repro.nn.module import Module, is_inference
 
 
 class MultiHeadSelfAttention(Module):
@@ -60,25 +60,6 @@ class MultiHeadSelfAttention(Module):
         self.attn_dropout = Dropout(dropout, rng)
         self.ctx_pad_to = ctx_pad_to
         self._cache: dict[str, np.ndarray] | None = None
-        self._quant_fused = None  # repro.nn.quant.QuantizedTensor | None
-
-    def attach_quantized_fused(self, tensor) -> None:
-        """Install an int8 tensor for the fused QKV inference GEMM."""
-        expected = (self.dim, 3 * self.dim)
-        if tensor.q.shape != expected:
-            raise ValueError(
-                f"fused QKV quantized shape {tensor.q.shape} does not "
-                f"match {expected}"
-            )
-        self._quant_fused = tensor
-        bump_mode_epoch()
-
-    def detach_quantized_fused(self) -> bool:
-        """Remove the fused int8 tensor; True when one was attached."""
-        had = self._quant_fused is not None
-        self._quant_fused = None
-        bump_mode_epoch()
-        return had
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         batch, time, __ = x.shape
@@ -135,22 +116,8 @@ class MultiHeadSelfAttention(Module):
         return padded_weights @ padded_values
 
     def forward(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        if self._quant_fused is not None and is_inference():
-            # int8-weight / fp32-accumulate fused QKV (repro.nn.quant):
-            # scales are per fused output channel, so Q/K/V columns each
-            # keep their own resolution. Inference-only — no backward
-            # cache exists on this path by construction.
-            fused_weight, fused_bias = None, None
-            qkv = self._quant_fused.matmul(x) + np.concatenate(
-                [
-                    self.query_proj.bias.value,
-                    self.key_proj.bias.value,
-                    self.value_proj.bias.value,
-                ]
-            )
-        else:
-            fused_weight, fused_bias = self._fused_qkv_weights()
-            qkv = x @ fused_weight + fused_bias  # single GEMM for Q, K, V
+        fused_weight, fused_bias = self._fused_qkv_weights()
+        qkv = x @ fused_weight + fused_bias  # single GEMM for Q, K, V
         dim = self.dim
         raw_q, raw_k, raw_v = (
             qkv[..., :dim], qkv[..., dim : 2 * dim], qkv[..., 2 * dim :]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.module import Module, Parameter, bump_mode_epoch, is_inference
+from repro.nn.module import Module, Parameter, is_inference
 
 
 class Linear(Module):
@@ -24,12 +24,6 @@ class Linear(Module):
     size. Only worth it for small heads on pooled states (it trades the
     single GEMM for ``rows`` GEMVs); bulk token-level layers should keep
     the default.
-
-    An int8 tensor attached via :meth:`attach_quantized` (see
-    :mod:`repro.nn.quant`) replaces the inference-mode forward with
-    ``(x @ Q) * scale``; training forwards and ``backward`` always use
-    the fp32 master weight, so quantization never leaks into gradients
-    or checkpoints.
     """
 
     def __init__(
@@ -48,36 +42,10 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
         self.row_invariant = row_invariant
         self._x: np.ndarray | None = None
-        self._quant = None  # repro.nn.quant.QuantizedTensor | None
-
-    def attach_quantized(self, tensor) -> None:
-        """Install an int8 tensor for inference-mode forwards."""
-        if tensor.q.shape != self.weight.value.shape:
-            raise ValueError(
-                f"quantized shape {tensor.q.shape} does not match "
-                f"weight {self.weight.value.shape}"
-            )
-        self._quant = tensor
-        bump_mode_epoch()
-
-    def detach_quantized(self) -> bool:
-        """Remove the int8 tensor; True when one was attached."""
-        had = self._quant is not None
-        self._quant = None
-        bump_mode_epoch()
-        return had
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = None if is_inference() else x
-        if self._quant is not None and is_inference():
-            # int8-weight / fp32-accumulate: the operands are the exact
-            # fp32 images of both int8 code planes (primary + residual),
-            # scales applied per column.
-            if self.row_invariant and x.ndim == 2:
-                out = np.stack([self._quant.matmul(row) for row in x])
-            else:
-                out = self._quant.matmul(x)
-        elif self.row_invariant and x.ndim == 2:
+        if self.row_invariant and x.ndim == 2:
             out = np.stack([row @ self.weight.value for row in x])
         else:
             out = x @ self.weight.value

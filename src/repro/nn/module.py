@@ -100,24 +100,17 @@ def guard_finite(array: np.ndarray, context: str) -> np.ndarray:
     return array
 
 
-#: Stands for the current training flags and quantized tensors of every
-#: module in the process. Replaced (never mutated) whenever a flag may
-#: have turned on or a quantized tensor was attached or detached, so a
-#: walk memoised against it is valid while it is still the same object.
+#: Stands for the current training flags of every module in the process.
+#: Replaced (never mutated) whenever a flag may have turned on, so the
+#: :meth:`Module.eval` memo is valid while it is still the same object.
 #: A token is an identity, so a memo that crossed a pickle or a deep copy
 #: never matches; a forked child shares its parent's modules and memos.
 _mode_epoch = object()
 
 
-def mode_epoch() -> object:
-    """The current mode epoch; read it *before* the walk it memoises."""
-    return _mode_epoch
-
-
 def bump_mode_epoch() -> None:
-    """Invalidate every :meth:`Module.eval` and ``quantization_state``
-    memo: call it after a training flag turns on or a quantized tensor
-    is attached or detached."""
+    """Invalidate every :meth:`Module.eval` memo: call it after a
+    training flag may have turned on (``train()``, a new module)."""
     global _mode_epoch
     _mode_epoch = object()
 

@@ -21,8 +21,8 @@ path fast, fault-tolerant, and measurable:
   bitwise-resumable checkpoints with manifests, a last-good pointer, and
   corruption rollback (typed ``ArtifactError`` on every load surface);
 * :mod:`repro.runtime.rescache` — content-addressed cross-request result
-  cache (keys pin token ids + weight fingerprint + numeric variant;
-  bounded, seeded-deterministic eviction; hits are bitwise-identical to
+  cache (keys pin token ids + weight fingerprint; bounded,
+  seeded-deterministic eviction; hits are bitwise-identical to
   recomputation thanks to packing invariance);
 * :mod:`repro.runtime.journal` — crash-safe run journal for corpus
   inference: manifest-bound, checksummed JSONL WAL with fsync'd atomic
@@ -57,7 +57,6 @@ from repro.runtime.errors import (
     ModelError,
     NumericalError,
     OverloadedError,
-    QuantizationError,
     ReplicaCrashError,
     ReproError,
     RunInterrupted,
@@ -135,7 +134,6 @@ __all__ = [
     "PerfCounters",
     "PipelineBroadcast",
     "PoolTransport",
-    "QuantizationError",
     "QuarantineEntry",
     "QuarantineQueue",
     "ReplicaCrashError",

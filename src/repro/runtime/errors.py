@@ -152,19 +152,6 @@ class CircuitOpenError(ModelError):
     retryable = False
 
 
-class QuantizationError(ModelError):
-    """The int8 equivalence gate refused to enable quantization.
-
-    Raised by :meth:`WeakSupervisionExtractor.enable_quantization` (and
-    the CLI ``--quantize`` path) when a quantized calibration run changes
-    a top label or exceeds the score-delta bound; the model is restored
-    to fp32 before raising. Deterministic for fixed weights and
-    calibration data, so never retried.
-    """
-
-    retryable = False
-
-
 class OverloadedError(ReproError):
     """The serving engine shed this request instead of queueing it.
 
@@ -231,7 +218,6 @@ _TAXONOMY_BY_NAME: dict[str, type[ReproError]] = {
         TaskRegistryError,
         ArtifactError,
         CircuitOpenError,
-        QuantizationError,
         OverloadedError,
         ReplicaCrashError,
         RunInterrupted,

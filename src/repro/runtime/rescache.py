@@ -14,10 +14,10 @@ Why this is safe on this substrate:
   normalized token ids (or request texts) together with the model's
   :meth:`~repro.nn.module.Module.fingerprint` — the same SHA-256
   weight-content digest convention as :func:`repro.nn.serialize.state_digest`
-  and the PR 5 artifact manifests — plus a variant tag for alternate
-  numeric paths (e.g. ``"int8"``). A hot-swapped checkpoint, a resumed
-  fine-tune, or an enabled quantization path each change the key, so the
-  cache can never serve records computed by different weights.
+  and the artifact manifests. There is one numeric path (fp32), so
+  content plus weights is the whole key: a hot-swapped checkpoint or a
+  resumed fine-tune changes it, and the cache can never serve records
+  computed by different weights.
 * **Hits are bitwise-identical to misses.** The scheduler's packing
   invariance (PR 1) guarantees a sequence's logits do not depend on its
   microbatch-mates, so computing only the misses — in whatever packing
@@ -61,20 +61,15 @@ CACHED_TOKENS = "result_cache_tokens"
 def result_key(
     token_ids: Iterable[int] | str,
     model_fingerprint: str,
-    variant: str = "",
 ) -> str:
-    """Content-addressed cache key: ids/text + weights + numeric variant.
+    """Content-addressed cache key: ids/text + weights.
 
     ``token_ids`` is the normalized token id sequence (the classifier
     layer) or a raw text payload (the serving layer). The model
-    fingerprint pins the exact weight bytes; ``variant`` separates
-    alternate numeric paths over the same weights (the int8 encoder path
-    must never share entries with fp32).
+    fingerprint pins the exact weight bytes.
     """
     digest = hashlib.sha256()
     digest.update(model_fingerprint.encode("ascii"))
-    digest.update(b"|")
-    digest.update(variant.encode("utf-8"))
     digest.update(b"|")
     if isinstance(token_ids, str):
         digest.update(b"text:")

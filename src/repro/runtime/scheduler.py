@@ -284,13 +284,10 @@ def predict_distinct(
     key_of: dict[int, str] = {}
     hits = cached_tokens = 0
     if cache is not None:
-        from repro.nn.quant import quantization_state
-
         fingerprint = model.fingerprint()
-        variant = quantization_state(model) or ""
     for index, seq in enumerate(sequences):
         if cache is not None:
-            key = rescache.result_key(seq, fingerprint, variant)
+            key = rescache.result_key(seq, fingerprint)
             found = cache.get(key)
             if found is not None:
                 results[index] = found.copy()

@@ -413,12 +413,10 @@ class ServingEngine:
         """Content key of a request, or None when it cannot be pinned.
 
         The key hashes the request payload (kind + texts) with the
-        backend model's weight fingerprint and quantization variant, so a
-        hot-swapped checkpoint or a newly enabled int8 path can never be
-        served another model's records. Unfitted backends get no key.
+        backend model's weight fingerprint, so a hot-swapped checkpoint
+        can never be served another model's records. Unfitted backends
+        get no key.
         """
-        from repro.nn.quant import quantization_state
-
         backend = (
             self.detector if request.kind == KIND_DETECT else self.extractor
         )
@@ -426,9 +424,7 @@ class ServingEngine:
         if model is None or not hasattr(model, "fingerprint"):
             return None
         payload = request.kind + "\x00" + "\x00".join(request.texts)
-        return result_key(
-            payload, model.fingerprint(), quantization_state(model) or ""
-        )
+        return result_key(payload, model.fingerprint())
 
     def _serve_from_cache(self, request: ServeRequest) -> Future | None:
         """Resolve a submit immediately on a cache hit (else None).

@@ -1,10 +1,8 @@
-"""End-to-end cache and quantization integration.
+"""End-to-end cache integration.
 
 Crosses the layers: the extractor-level result cache under the parallel
-sharded runtime (workers=N must stay bitwise-identical to workers=1),
-the config-driven cache on the detector, the calibrated quantization
-gate at the extractor surface — and, at golden scale, the int8 path
-passing its top-label equivalence gate on the frozen 25-report fixture.
+sharded runtime (workers=N must stay bitwise-identical to workers=1) and
+the config-driven cache on the detector.
 """
 
 import dataclasses
@@ -16,7 +14,6 @@ from repro.core.extractor import ExtractorConfig, WeakSupervisionExtractor
 from repro.datasets.generator import ObjectiveGenerator
 from repro.goalspotter.detector import DetectorConfig, ObjectiveDetector
 from repro.models.training import FineTuneConfig
-from repro.runtime.errors import QuantizationError
 from repro.runtime.parallel import extract_batch_parallel
 
 pytestmark = pytest.mark.cache
@@ -116,71 +113,3 @@ class TestDetectorCache:
 
     def test_disabled_by_default(self):
         assert ObjectiveDetector(DetectorConfig()).result_cache is None
-
-
-class TestQuantizationGateSurface:
-    @pytest.mark.quant
-    def test_synthetic_refusal_restores_fp32(self, fitted_extractor):
-        """An impossible bound must refuse, restore bitwise-fp32, and
-        leave the config un-flipped."""
-        texts = [
-            objective.text
-            for objective in ObjectiveGenerator(seed=63).generate_many(6)
-        ]
-        baseline = fitted_extractor.extract_batch(texts)
-        with pytest.raises(QuantizationError) as excinfo:
-            fitted_extractor.enable_quantization(
-                mode="int8", calibration_texts=texts, max_score_delta=0.0
-            )
-        assert excinfo.value.retryable is False
-        assert fitted_extractor.config.quantize is None
-        assert fitted_extractor.extract_batch(texts) == baseline
-
-    @pytest.mark.quant
-    def test_gate_pass_flips_config_and_separates_cache(
-        self, fitted_extractor
-    ):
-        texts = [
-            objective.text
-            for objective in ObjectiveGenerator(seed=64).generate_many(6)
-        ]
-        report = fitted_extractor.enable_quantization(
-            mode="int8", calibration_texts=texts, max_score_delta=0.5
-        )
-        try:
-            assert report.passed
-            assert fitted_extractor.config.quantize == "int8"
-            # int8 results key separately: the warm fp32 cache must not
-            # leak fp32 records into the quantized run.
-            fitted_extractor.extract_batch(texts)
-        finally:
-            fitted_extractor.disable_quantization()
-        assert fitted_extractor.config.quantize is None
-
-
-@pytest.mark.slow
-@pytest.mark.quant
-@pytest.mark.golden
-class TestGoldenQuantGate:
-    def test_int8_gate_passes_on_golden_fixture(self):
-        """The acceptance claim: residual-coded int8 keeps every top
-        label on the frozen golden 25-report corpus."""
-        from tests.integration.test_golden import (
-            build_golden_corpus,
-            build_golden_pipeline,
-        )
-
-        pipeline = build_golden_pipeline()
-        corpus = build_golden_corpus()
-        blocks = [
-            block.text
-            for report in corpus
-            for page in report.pages
-            for block in page.blocks
-        ]
-        report = pipeline.extractor.enable_quantization(
-            mode="int8", calibration_texts=blocks, max_score_delta=1e-3
-        )
-        assert report.passed
-        assert report.total == len(blocks)
-        assert report.max_abs_delta < 1e-3

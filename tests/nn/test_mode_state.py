@@ -2,8 +2,8 @@
 
 ``inference_mode`` and ``numeric_guard`` nest per thread, so a serving
 thread inside one never switches it on for a training thread next to
-it. ``Module.eval`` and ``quantization_state`` memoise their tree walks
-against the mode epoch; every way a walk's answer can change moves it.
+it. ``Module.eval`` memoises its tree walk against the mode epoch;
+every way the walk's answer can change moves it.
 """
 
 import copy
@@ -21,8 +21,6 @@ from repro.nn.module import (
     numeric_guard,
     numeric_guard_active,
 )
-from repro.nn.attention import MultiHeadSelfAttention
-from repro.nn.quant import INT8, quantization_state, quantize_module
 
 
 def _in_thread(function):
@@ -118,25 +116,3 @@ class TestEvalMemo:
                 child.training = True  # as a tree pickled mid-training
             twin.eval()
             assert not any(_training(twin))
-
-
-class Encoderish(Module):
-    def __init__(self, rng):
-        super().__init__()
-        self.attention = MultiHeadSelfAttention(8, 2, rng)
-        self.head = Linear(8, 3, rng)
-
-
-class TestQuantizationStateMemo:
-    def test_attach_and_detach_are_seen(self):
-        model = Encoderish(np.random.default_rng(0))
-        assert quantization_state(model) is None
-        assert quantization_state(model) is None  # memoised
-        quantize_module(model)
-        assert quantization_state(model) == INT8
-        model.head.detach_quantized()
-        assert quantization_state(model) == INT8  # attention still int8
-        model.attention.detach_quantized_fused()
-        assert quantization_state(model) == INT8  # out_proj still int8
-        model.attention.out_proj.detach_quantized()
-        assert quantization_state(model) is None

@@ -27,11 +27,6 @@ class TestResultKey:
         """A hot-swapped checkpoint must never share cache entries."""
         assert result_key([1, 2], "sha-a") != result_key([1, 2], "sha-b")
 
-    def test_variant_separates_numeric_paths(self):
-        fp32 = result_key([1, 2], "fp", variant="")
-        int8 = result_key([1, 2], "fp", variant="int8")
-        assert fp32 != int8
-
     def test_text_and_ids_never_collide(self):
         # The payload is prefixed by kind, so a text that happens to
         # decode to the same bytes as an id sequence keys differently.

@@ -16,7 +16,11 @@ from repro.core.extractor import ExtractorConfig, WeakSupervisionExtractor
 from repro.crf.extractor import CrfConfig, CrfDetailExtractor
 from repro.models.training import FineTuneConfig
 from repro.nn.serialize import load_state, save_state
-from repro.runtime.checkpoint import MANIFEST_NAME, verify_manifest
+from repro.runtime.checkpoint import (
+    MANIFEST_NAME,
+    verify_manifest,
+    write_manifest,
+)
 from repro.runtime.errors import ArtifactError, ModelError
 from repro.runtime.resilience import FaultInjector, FaultSpec
 from repro.text.bpe import BpeTokenizer
@@ -90,6 +94,30 @@ class TestWeakSupervisionArtifacts:
         loaded = WeakSupervisionExtractor.load(saved)
         text = "Reduce emissions by 40% by 2035."
         assert loaded.extract(text) == fitted_ws.extract(text)
+
+    @pytest.mark.parametrize("quantize", [None, "int8"])
+    def test_legacy_quantize_key_loads_as_fp32(
+        self, saved, fitted_ws, quantize
+    ):
+        """Directories saved while the int8 path existed carry a
+        ``quantize`` key. Their weights are the fp32 masters, so they
+        load (checksums still verified) and predict what the freshly
+        saved model predicts."""
+        config = json.loads((saved / "config.json").read_text("utf-8"))
+        config["quantize"] = quantize
+        (saved / "config.json").write_text(json.dumps(config), "utf-8")
+        write_manifest(
+            saved,
+            ["config.json", "tokenizer.json", "model.npz"],
+            kind="weak_supervision_extractor",
+        )
+        loaded = WeakSupervisionExtractor.load(saved)
+        texts = [
+            "Reduce emissions by 40% by 2035.",
+            "Cut water use by 30% compared to 2019 by 2030.",
+        ]
+        assert loaded.extract_batch(texts) == fitted_ws.extract_batch(texts)
+        assert loaded.model.fingerprint() == fitted_ws.model.fingerprint()
 
     def test_crash_before_publish_preserves_previous_save(
         self, fitted_ws, tmp_path

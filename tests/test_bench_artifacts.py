@@ -24,7 +24,6 @@ def load_artifact(name: str) -> dict:
 
 
 @pytest.mark.cache
-@pytest.mark.quant
 class TestCacheQuantArtifact:
     def test_schema(self):
         report = load_artifact("BENCH_cache_quant.json")
@@ -32,7 +31,6 @@ class TestCacheQuantArtifact:
             "config",
             "baseline_tokens_per_second",
             "sweep",
-            "quantization",
         }
         assert set(report["sweep"]) == {"0.0", "0.3", "0.7"}
         for level in report["sweep"].values():
@@ -48,18 +46,10 @@ class TestCacheQuantArtifact:
             for run in (level["uncached"], level["cached"]):
                 assert "tokens_per_second" in run
                 assert "result_cache_hits" in run
-        gate = report["quantization"]["gate"]
-        assert set(gate) == {
-            "total",
-            "top_label_matches",
-            "max_abs_delta",
-            "bound",
-            "passed",
-        }
 
     def test_headline_claims_hold(self):
-        """>=2x tokens/sec at 70% repeats, bitwise identity throughout,
-        and the golden int8 gate passed — the committed evidence."""
+        """>=2x tokens/sec at 70% repeats and bitwise identity
+        throughout — the committed evidence."""
         report = load_artifact("BENCH_cache_quant.json")
         hot = report["sweep"]["0.7"]
         assert hot["speedup_vs_baseline"] >= 2.0
@@ -68,11 +58,6 @@ class TestCacheQuantArtifact:
         for level in report["sweep"].values():
             assert level["results_identical"] is True
             assert level["logits_bitwise_identical"] is True
-        quant = report["quantization"]
-        assert quant["gate"]["passed"] is True
-        assert quant["gate"]["top_label_matches"] == quant["gate"]["total"]
-        assert quant["reports"] == 25
-        assert quant["int8_weight_bytes"] < quant["fp32_weight_bytes"]
 
     def test_baseline_cross_references_throughput_artifact(self):
         report = load_artifact("BENCH_cache_quant.json")

@@ -66,7 +66,7 @@ class TestMarkerHygiene:
 
     def test_new_subsystem_markers_present(self):
         registered = registered_markers()
-        assert {"cache", "quant", "fleet", "kg", "tasks"} <= registered
+        assert {"cache", "fleet", "kg", "tasks"} <= registered
 
     def test_marker_lines_have_descriptions(self):
         with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
